@@ -20,12 +20,8 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .attackers import random_parallel_attack
-from .defenders import (
-    ReactiveHiddenState,
-    hindsight_from_usage,
-    reactive_hidden_step,
-)
-from .engine import GameTrace
+from .defenders import HedgeState, hindsight_from_usage, reactive_hidden_step
+from .engine import GameTrace, round_edge_usage
 from .fixtures import two_parallel_edges
 from .model import DefenseAllocation, System, zero_allocation
 
@@ -83,6 +79,15 @@ def _warn_on_small_surfaces(system: System) -> None:
         )
 
 
+def _regret_ceiling(
+    budget: float, log_edges: float, mean_inverse_surface: float, rounds: int
+) -> float:
+    """B sqrt(ln|E| / 2T) + B (ln|E| + mean(1/w)) / T."""
+    return budget * math.sqrt(log_edges / (2.0 * rounds)) + budget * (
+        log_edges + mean_inverse_surface
+    ) / rounds
+
+
 def profit_regret(trace: GameTrace) -> BoundReport:
     """Average-profit regret of a reactive trace, with its ceiling.
 
@@ -103,14 +108,12 @@ def profit_regret(trace: GameTrace) -> BoundReport:
     _, best_cost = hindsight_from_usage(system, trace.edge_usage())
     played_cost = sum(trace.costs())
     measured = (best_cost - played_cost) / t
-    num_edges = len(system.edges)
+    log_edges = math.log(len(system.edges))
     mean_inverse_surface = fmean(1.0 / e.surface for e in system.edges)
-    bound_rhs = system.budget * math.sqrt(
-        math.log(num_edges) / (2.0 * t)
-    ) + system.budget * (math.log(num_edges) + mean_inverse_surface) / t
+    bound_rhs = _regret_ceiling(system.budget, log_edges, mean_inverse_surface, t)
     inputs = {
         "budget": system.budget,
-        "num_edges": num_edges,
+        "num_edges": len(system.edges),
         "rounds": t,
         "mean_inverse_surface": mean_inverse_surface,
     }
@@ -225,7 +228,7 @@ def lower_bound_experiment(
     hindsight_costs: list[float] = []
     for k in range(num_seeds):
         rng = random.Random(base_seed + k)
-        state = ReactiveHiddenState(budget=system.budget)
+        state = HedgeState(budget=system.budget)
         allocation = zero_allocation(system.budget)
         usage: dict[str, float] = {}
         total_cost = 0.0
@@ -235,7 +238,7 @@ def lower_bound_experiment(
             total_cost += allocation.get(eid) / surfaces[eid]
             usage[eid] = usage.get(eid, 0.0) + 1.0
             state, allocation = reactive_hidden_step(
-                state, attack, {eid: surfaces[eid]}
+                state, {eid: 1.0}, {eid: surfaces[eid]}
             )
         _, best_cost = hindsight_from_usage(system, usage)
         played_costs.append(total_cost)
@@ -292,9 +295,8 @@ def regret_curve(trace: GameTrace) -> RegretCurve:
     evaluated at each prefix length.
     """
     system = trace.system
-    num_edges = len(system.edges)
     budget = system.budget
-    log_edges = math.log(num_edges)
+    log_edges = math.log(len(system.edges))
     mean_inverse_surface = fmean(1.0 / e.surface for e in system.edges)
     usage: dict[str, float] = {}
     cumulative_cost = 0.0
@@ -302,10 +304,8 @@ def regret_curve(trace: GameTrace) -> RegretCurve:
     measured: list[float] = []
     bound: list[float] = []
     for record in trace.records:
-        share = 1.0 / len(record.attacks)
-        for attack in record.attacks:
-            for eid in attack.path:
-                usage[eid] = usage.get(eid, 0.0) + share
+        for eid, weight in round_edge_usage(record.attacks).items():
+            usage[eid] = usage.get(eid, 0.0) + weight
         cumulative_cost += record.cost
         t = record.round_index
         best_cost = budget * max(
@@ -313,8 +313,5 @@ def regret_curve(trace: GameTrace) -> RegretCurve:
         )
         rounds.append(t)
         measured.append((best_cost - cumulative_cost) / t)
-        bound.append(
-            budget * math.sqrt(log_edges / (2.0 * t))
-            + budget * (log_edges + mean_inverse_surface) / t
-        )
+        bound.append(_regret_ceiling(budget, log_edges, mean_inverse_surface, t))
     return RegretCurve(tuple(rounds), tuple(measured), tuple(bound))

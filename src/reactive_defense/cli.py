@@ -37,13 +37,11 @@ from .defenders import (
     Defender,
     FixedDefender,
     KnownEdgesDefender,
-    MincutDefender,
-    MinimaxDefender,
     MyopicDefender,
     ReactiveDefender,
-    UniformDefender,
     mincut_perimeter_defense,
     minimax_proactive_defense,
+    uniform_defense,
 )
 from .engine import run_game
 from .fixtures import FIXTURES, fixture
@@ -112,21 +110,27 @@ def build_defender(spec: str, system: System) -> Defender:
             raise ValueError(f"known defender takes a numeric beta, got {arg!r}") from None
         return KnownEdgesDefender(beta)
     if name == "uniform":
-        return UniformDefender()
+        return FixedDefender(uniform_defense, {"policy": "uniform"})
     if name == "myopic":
         return MyopicDefender()
-    if name == "minimax-roa":
-        return MinimaxDefender("roa")
-    if name == "minimax-profit":
-        return MinimaxDefender("profit")
+    if name in ("minimax-roa", "minimax-profit"):
+        objective = name.removeprefix("minimax-")
+        return FixedDefender(
+            lambda view: minimax_proactive_defense(view, objective).allocation,
+            {"policy": "minimax", "objective": objective},
+        )
     if name == "mincut":
         if not arg:
             raise ValueError("mincut defender needs a target: mincut:<vertex>")
-        return MincutDefender(arg)
+        return FixedDefender(
+            lambda view: mincut_perimeter_defense(view, arg),
+            {"policy": "mincut", "target": arg},
+        )
     if name == "fixed":
         if not arg:
             raise ValueError("fixed defender needs a file: fixed:<alloc.json>")
-        return FixedDefender(_load_fixed_allocation(arg, system.budget))
+        allocation = _load_fixed_allocation(arg, system.budget)
+        return FixedDefender(lambda view: allocation, {"policy": "fixed"})
     raise ValueError(f"unknown defender {spec!r}; known: {DEFENDER_SPECS}")
 
 

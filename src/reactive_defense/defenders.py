@@ -1,38 +1,31 @@
 """Defender strategies for repeated attack-defense games.
 
-Two multiplicative-update learners form the core: a reactive one that
-discovers edges as attacks reveal them (zero allocation until the first
-attack) and a fixed-rate one that knows every edge from the start.  Both
-spread the budget proportionally to ``beta ** score`` where an edge's
-score drops by ``1/surface`` each time it is attacked, so allocations
-chase observed attack traffic at a learning rate that anneals with time.
+One multiplicative-weights (Hedge) learner forms the core (Freund and
+Schapire 1997): over an ordered edge domain it allocates
+``B * softmax(score * ln beta)``, and each attack lowers an attacked
+edge's score by its weight over the edge's surface.  The reactive
+defender starts it with an empty domain that attacks grow, at an
+annealed rate; the known-edges defender starts it with every edge, at a
+fixed rate.
 
-Proactive alternatives live alongside them: minimum-cut perimeter
-defense, enumeration-based minimax allocations for the return-on-attack
-and profit objectives, the hindsight-optimal fixed allocation, and the
-uniform and myopic baselines.
+Proactive alternatives live alongside it: minimum-cut perimeter defense,
+minimax allocations for the return-on-attack and profit objectives, the
+hindsight-optimal fixed allocation, and the uniform and myopic baselines.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Mapping, Sequence
+from collections import deque
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar
 
-import networkx as nx
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import (
-    Attack,
-    DefenseAllocation,
-    System,
-    SystemView,
-    validate_attack,
-    zero_allocation,
-)
+from .model import DefenseAllocation, System, SystemView, zero_allocation
 from .paths import DEFAULT_ENUMERATION_LIMIT, PathSet
 
 
@@ -59,232 +52,151 @@ def horizon_beta(num_units: int, horizon: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reactive learner over hidden edges
+# Hedge learner core
 
 
 @dataclass(frozen=True)
-class ReactiveHiddenState:
-    """Learning state over the edges revealed so far.
-
-    ``surfaces`` preserves revelation order; ``scores`` holds each revealed
-    edge's cumulative exponent, minus the weighted count of its appearances
-    in attacks divided by its surface (never positive).  ``last_beta`` is
-    the rate used for the most recent allocation, None before any attack.
-    """
+class HedgeState:
+    """Hedge state: ``surfaces`` is the ordered domain, ``scores`` each
+    edge's cumulative exponent (missing means 0), and ``fixed_beta`` pins
+    the rate (None anneals it with ``beta_schedule``)."""
 
     budget: float
     surfaces: Mapping[str, float] = field(default_factory=dict)
     scores: Mapping[str, float] = field(default_factory=dict)
     round_index: int = 0
-    last_beta: float | None = None
+    fixed_beta: float | None = None
+
+    @property
+    def beta(self) -> float | None:
+        """Rate behind the current allocation; None while an annealed
+        learner has an empty domain."""
+        if self.fixed_beta is not None:
+            return self.fixed_beta
+        if not self.surfaces:
+            return None
+        return beta_schedule(len(self.surfaces), max(self.round_index, 1))
+
+
+def hedge_update(state: HedgeState, column: Mapping[str, float]) -> HedgeState:
+    """Add any real per-edge column over the domain to the scores and
+    advance the round."""
+    scores = dict(state.scores)
+    for eid, value in column.items():
+        if eid not in state.surfaces:
+            raise KeyError(f"update names unknown edge {eid!r}")
+        scores[eid] = scores.get(eid, 0.0) + value
+    return HedgeState(
+        state.budget, state.surfaces, scores, state.round_index + 1, state.fixed_beta
+    )
+
+
+def hedge_allocation(state: HedgeState) -> DefenseAllocation:
+    """Budget over the domain, proportional to ``beta ** score`` (zero on
+    an empty domain); factoring out the largest exponent avoids overflow."""
+    if not state.surfaces:
+        return zero_allocation(state.budget)
+    beta = state.beta
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must be in (0, 1], got {beta}")
+    log_beta = math.log(beta)
+    exponents = [state.scores.get(eid, 0.0) * log_beta for eid in state.surfaces]
+    top = max(exponents)
+    shares = [math.exp(x - top) for x in exponents]
+    z = sum(shares)
+    return DefenseAllocation(
+        {eid: state.budget * s / z for eid, s in zip(state.surfaces, shares)},
+        state.budget,
+    )
 
 
 def reactive_hidden_step(
-    state: ReactiveHiddenState,
-    attack: Attack,
-    surfaces: Mapping[str, float],
-    beta: float | None = None,
-) -> tuple[ReactiveHiddenState, DefenseAllocation]:
-    """Consume one observed attack; return the state and next allocation.
-
-    ``surfaces`` must cover the attack's edges (the attack reveals them).
-    ``beta`` overrides the annealed schedule, for tests and diagnostics.
-    """
-    if not attack.path:
-        raise ValueError("cannot learn from an empty attack")
-    weights = {eid: 1.0 for eid in attack.path}
-    return reactive_hidden_update(state, weights, surfaces, beta)
-
-
-def reactive_hidden_update(
-    state: ReactiveHiddenState,
+    state: HedgeState,
     edge_weights: Mapping[str, float],
     surfaces: Mapping[str, float],
-    beta: float | None = None,
-) -> tuple[ReactiveHiddenState, DefenseAllocation]:
-    """Generalized step for one round of observed attack traffic.
+) -> tuple[HedgeState, DefenseAllocation]:
+    """Consume one round's edge usage; return the state and next allocation.
 
-    ``edge_weights`` gives each attacked edge's weight in the round: 1 for
-    a single attack, the aggregate distribution mass for a population of
-    attackers.  Every attacked edge's score drops by weight/surface; newly
-    seen edges join the revealed set.
+    ``surfaces`` must cover the attacked edges; edges outside the domain
+    join it.  Each attacked edge's score drops by its usage over surface.
     """
     if not edge_weights:
         raise ValueError("round contained no attacked edges")
-    new_surfaces = dict(state.surfaces)
-    new_scores = dict(state.scores)
+    revealed: dict[str, float] = {}
+    column: dict[str, float] = {}
     for eid, weight in edge_weights.items():
         if weight < 0:
             raise ValueError(f"negative attack weight {weight} on {eid!r}")
         if eid not in surfaces:
             raise ValueError(f"no surface reported for attacked edge {eid!r}")
         w = surfaces[eid]
-        if eid in new_surfaces:
-            if w != new_surfaces[eid]:
-                raise ValueError(
-                    f"edge {eid!r} re-revealed with surface {w}, previously {new_surfaces[eid]}"
-                )
-        else:
+        known = state.surfaces.get(eid)
+        if known is None:
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"surface of {eid!r} must be positive, got {w}")
-            new_surfaces[eid] = w
-        new_scores[eid] = new_scores.get(eid, 0.0) - weight / w
-    round_index = state.round_index + 1
-    if beta is None:
-        beta = beta_schedule(len(new_surfaces), round_index)
-    new_state = ReactiveHiddenState(
-        budget=state.budget,
-        surfaces=new_surfaces,
-        scores=new_scores,
-        round_index=round_index,
-        last_beta=beta,
-    )
-    return new_state, hidden_allocation(new_state, beta)
-
-
-def hidden_allocation(state: ReactiveHiddenState, beta: float | None = None) -> DefenseAllocation:
-    """Budget over revealed edges, proportional to ``beta ** score``.
-
-    Scores are nonpositive and shrink over time, so the shares are
-    computed in log space with the largest exponent factored out; the
-    normalization can then never overflow.  With nothing revealed the
-    allocation is identically zero.
-    """
-    if not state.surfaces:
-        return zero_allocation(state.budget)
-    if beta is None:
-        beta = state.last_beta
-    if beta is None:
-        beta = beta_schedule(len(state.surfaces), max(state.round_index, 1))
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    log_beta = math.log(beta)
-    exponents = {eid: state.scores.get(eid, 0.0) * log_beta for eid in state.surfaces}
-    top = max(exponents.values())
-    shares = {eid: math.exp(x - top) for eid, x in exponents.items()}
-    z = sum(shares.values())
-    return DefenseAllocation(
-        {eid: state.budget * s / z for eid, s in shares.items()}, state.budget
-    )
-
-
-# ---------------------------------------------------------------------------
-# fixed-rate learner over known edges
-
-
-@dataclass(frozen=True)
-class ReactiveKnownState:
-    """Multiplicative-update state when every edge is known from the start.
-
-    ``log_shares`` stores the log of normalized allocation fractions; one
-    update multiplies each attacked edge's share by ``beta ** (-1/surface)``
-    and renormalizes, all in log space.
-    """
-
-    budget: float
-    beta: float
-    horizon: int
-    surfaces: Mapping[str, float]
-    log_shares: Mapping[str, float]
-    round_index: int = 0
-
-
-def reactive_known_start(
-    system: System | SystemView, horizon: int, beta: float | None = None
-) -> ReactiveKnownState:
-    """Uniform initial shares; ``beta`` defaults to ``horizon_beta(|E|, T)``."""
-    surfaces = {e.id: e.surface for e in system.edges}
-    if not surfaces:
-        raise ValueError("system has no edges")
-    if horizon < 1:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if beta is None:
-        beta = horizon_beta(len(surfaces), horizon)
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    log_uniform = -math.log(len(surfaces))
-    return ReactiveKnownState(
-        budget=system.budget,
-        beta=beta,
-        horizon=horizon,
-        surfaces=surfaces,
-        log_shares={eid: log_uniform for eid in surfaces},
-        round_index=0,
-    )
-
-
-def reactive_known_step(state: ReactiveKnownState, attack: Attack) -> ReactiveKnownState:
-    """Penalize the attacked edges: share *= beta ** (-1/surface), renormalized."""
-    if not attack.path:
-        raise ValueError("cannot learn from an empty attack")
-    column: dict[str, float] = {}
-    for eid in attack.path:
-        if eid not in state.surfaces:
-            raise KeyError(f"attack uses unknown edge {eid!r}")
-        column[eid] = -1.0 / state.surfaces[eid]
-    return reactive_known_update(state, column)
-
-
-def reactive_known_update(
-    state: ReactiveKnownState, update_column: Mapping[str, float]
-) -> ReactiveKnownState:
-    """Apply one multiplicative update with arbitrary per-edge exponents.
-
-    Shares transform as ``share * beta ** m(e)`` and renormalize; adding a
-    constant to every exponent cancels in the normalization, so updates
-    are invariant to uniform shifts of the column.
-    """
-    unknown = set(update_column) - set(state.surfaces)
-    if unknown:
-        raise KeyError(f"update names unknown edges {sorted(unknown)!r}")
-    log_beta = math.log(state.beta)
-    raw = {
-        eid: ls + update_column.get(eid, 0.0) * log_beta
-        for eid, ls in state.log_shares.items()
-    }
-    top = max(raw.values())
-    z = top + math.log(sum(math.exp(x - top) for x in raw.values()))
-    return replace(
-        state,
-        log_shares={eid: x - z for eid, x in raw.items()},
-        round_index=state.round_index + 1,
-    )
-
-
-def known_allocation(state: ReactiveKnownState) -> DefenseAllocation:
-    return DefenseAllocation(
-        {eid: state.budget * math.exp(ls) for eid, ls in state.log_shares.items()},
-        state.budget,
-    )
+            revealed[eid] = w
+        elif w != known:
+            raise ValueError(f"edge {eid!r} re-revealed with surface {w}, previously {known}")
+        column[eid] = -weight / w
+    if revealed:
+        state = replace(state, surfaces={**state.surfaces, **revealed})
+    state = hedge_update(state, column)
+    return state, hedge_allocation(state)
 
 
 # ---------------------------------------------------------------------------
 # proactive allocations
 
 
+def _sink_side(system: System, target: str) -> set[str]:
+    """Vertices that reach ``target`` in the residual graph of a maximum
+    start-to-target flow with surfaces as capacities; every maximum flow
+    leaves the same set.  Augmenting paths are searched breadth-first from
+    the target, and the search that misses the start visits the set."""
+    residual: dict[str, dict[str, float]] = {v: {} for v in system.vertices}
+    for e in system.edges:
+        residual[e.src][e.dst] = residual[e.src].get(e.dst, 0.0) + e.surface
+        residual[e.dst].setdefault(e.src, 0.0)
+    while True:
+        toward: dict[str, str | None] = {target: None}
+        queue = deque([target])
+        while queue and system.start not in toward:
+            v = queue.popleft()
+            for u in residual[v]:
+                if u not in toward and residual[u][v] > 0:
+                    toward[u] = v
+                    queue.append(u)
+        if system.start not in toward:
+            return set(toward)
+        path = []
+        u = system.start
+        while (v := toward[u]) is not None:
+            path.append((u, v))
+            u = v
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+
+
 def mincut_perimeter_defense(system: System, target: str) -> DefenseAllocation:
     """Whole budget over a minimum-weight start-to-target edge cut.
 
-    Surfaces act as capacities (parallel edges merge for the flow
-    computation and are recovered when crossing edges are collected);
-    cut edges receive budget proportional to surface, so every
-    start-to-target attack costs at least budget / cut_weight.
+    Among minimum cuts the one nearest the target is chosen; parallel
+    edges add their surfaces.  Cut edges receive budget proportional to
+    surface, so every start-to-target attack costs at least
+    budget / cut_weight.
     """
     if target == system.start:
         raise ValueError("target must differ from the start vertex")
     if target not in system.vertices:
         raise KeyError(f"unknown vertex {target!r}")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(system.vertices)
-    for e in system.edges:
-        if graph.has_edge(e.src, e.dst):
-            graph[e.src][e.dst]["capacity"] += e.surface
-        else:
-            graph.add_edge(e.src, e.dst, capacity=e.surface)
-    if not nx.has_path(graph, system.start, target):
+    far = _sink_side(system, target)
+    cut = [e for e in system.edges if e.src not in far and e.dst in far]
+    # Without a start-to-target path no flow moves, and an edge into the
+    # far side would put its source there too: the cut is empty.
+    if not cut:
         raise ValueError(f"target {target!r} is unreachable from {system.start!r}")
-    _, (near, far) = nx.minimum_cut(graph, system.start, target)
-    cut = [e for e in system.edges if e.src in near and e.dst in far]
     weight = sum(e.surface for e in cut)
     return DefenseAllocation(
         {e.id: system.budget * e.surface / weight for e in cut}, system.budget
@@ -371,28 +283,15 @@ def _solution_allocation(vector: np.ndarray, system: System) -> DefenseAllocatio
     return DefenseAllocation(alloc, system.budget)
 
 
-def hindsight_best_proactive(
-    system: System, attacks: Sequence[Attack]
-) -> tuple[DefenseAllocation, float]:
-    """Best fixed allocation against a known attack sequence, with its cost.
-
-    Total inflicted cost is linear in the allocation, so one edge takes
-    the whole budget: the edge maximizing uses/surface, ties broken by
-    the smallest edge id.
-    """
-    usage: dict[str, float] = {}
-    for attack in attacks:
-        validate_attack(system, attack)
-        for eid in attack.path:
-            usage[eid] = usage.get(eid, 0.0) + 1.0
-    return hindsight_from_usage(system, usage)
-
-
 def hindsight_from_usage(
     system: System, usage: Mapping[str, float]
 ) -> tuple[DefenseAllocation, float]:
-    """Hindsight optimum from per-edge attack weights (fractional weights
-    arise from attacker populations)."""
+    """Best fixed allocation against per-edge attack usage, with its total cost.
+
+    Total cost is linear in the allocation, so one edge takes the whole
+    budget: the edge maximizing usage/surface, ties broken by the smallest
+    edge id.
+    """
     best_edge: str | None = None
     best_ratio = 0.0
     for e in sorted(system.edges, key=lambda e: e.id):
@@ -414,19 +313,14 @@ def uniform_defense(system: System | SystemView) -> DefenseAllocation:
     return DefenseAllocation({e.id: share for e in system.edges}, system.budget)
 
 
-def myopic_defense(system: System | SystemView, last_attack: Attack) -> DefenseAllocation:
-    """Whole budget over the last attack's edges, proportional to surface."""
-    if not last_attack.path:
-        raise ValueError("last attack is empty")
-    surfaces: dict[str, float] = {}
-    for eid in last_attack.path:
-        w = system.surface(eid)
-        if w is None:
-            raise KeyError(f"unknown edge {eid!r}")
-        surfaces[eid] = w
+def myopic_defense(budget: float, surfaces: Mapping[str, float]) -> DefenseAllocation:
+    """Whole budget over the last round's attacked edges, proportional to
+    surface; ``surfaces`` maps those edges to their surfaces."""
+    if not surfaces:
+        raise ValueError("the last round attacked no edges")
     total = sum(surfaces.values())
     return DefenseAllocation(
-        {eid: system.budget * w / total for eid, w in surfaces.items()}, system.budget
+        {eid: budget * w / total for eid, w in surfaces.items()}, budget
     )
 
 
@@ -467,49 +361,45 @@ class ReactiveDefender(Defender):
     """Learning defender over revealed edges; allocates nothing in round 1."""
 
     reactive = True
+    _state: HedgeState | None = None
+    _pending: DefenseAllocation | None = None
 
-    def __init__(self):
-        self._state: ReactiveHiddenState | None = None
-        self._pending: DefenseAllocation | None = None
+    def _initial_state(self, view: System | SystemView, horizon: int) -> HedgeState:
+        return HedgeState(budget=view.budget)
 
-    def start(self, view: SystemView, horizon: int) -> None:
-        self._state = ReactiveHiddenState(budget=view.budget)
-        self._pending = zero_allocation(view.budget)
-        self.last_beta = None
+    def start(self, view: System | SystemView, horizon: int) -> None:
+        self._state = self._initial_state(view, horizon)
+        self._pending = hedge_allocation(self._state)
+        self.last_beta = self._state.beta
 
     def commit(self, round_index: int) -> DefenseAllocation:
         return self._pending
 
     def observe(self, feedback) -> None:
-        self._state, self._pending = reactive_hidden_update(
+        self._state, self._pending = reactive_hidden_step(
             self._state, feedback.edge_weights, feedback.surfaces
         )
-        self.last_beta = self._state.last_beta
+        self.last_beta = self._state.beta
 
     def describe(self) -> dict[str, Any]:
         return {"policy": "reactive-hidden", "schedule": "round-adaptive"}
 
 
-class KnownEdgesDefender(Defender):
-    """Multiplicative-update defender that knows every edge up front."""
+class KnownEdgesDefender(ReactiveDefender):
+    """The same learner knowing every edge up front, at a fixed rate that
+    defaults to ``horizon_beta(|E|, T)``."""
+
+    reactive = False
 
     def __init__(self, beta: float | None = None):
         self._beta = beta
-        self._state: ReactiveKnownState | None = None
 
-    def start(self, view: System | SystemView, horizon: int) -> None:
-        self._state = reactive_known_start(view, horizon, beta=self._beta)
-        self.last_beta = self._state.beta
-
-    def commit(self, round_index: int) -> DefenseAllocation:
-        return known_allocation(self._state)
-
-    def observe(self, feedback) -> None:
-        column = {
-            eid: -weight / self._state.surfaces[eid]
-            for eid, weight in feedback.edge_weights.items()
-        }
-        self._state = reactive_known_update(self._state, column)
+    def _initial_state(self, view: System | SystemView, horizon: int) -> HedgeState:
+        surfaces = {e.id: e.surface for e in view.edges}
+        if not surfaces:
+            raise ValueError("system has no edges")
+        beta = horizon_beta(len(surfaces), horizon) if self._beta is None else self._beta
+        return HedgeState(view.budget, surfaces, fixed_beta=beta)
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -522,94 +412,39 @@ class MyopicDefender(Defender):
     """Overreacting baseline: all budget onto the last round's attack edges."""
 
     reactive = True
-
-    def __init__(self):
-        self._budget: float | None = None
-        self._pending: DefenseAllocation | None = None
+    _pending: DefenseAllocation | None = None
 
     def start(self, view: SystemView, horizon: int) -> None:
-        self._budget = view.budget
         self._pending = zero_allocation(view.budget)
 
     def commit(self, round_index: int) -> DefenseAllocation:
         return self._pending
 
     def observe(self, feedback) -> None:
-        total = sum(feedback.surfaces.values())
-        self._pending = DefenseAllocation(
-            {eid: self._budget * w / total for eid, w in feedback.surfaces.items()},
-            self._budget,
-        )
+        self._pending = myopic_defense(self._pending.budget, feedback.surfaces)
 
     def describe(self) -> dict[str, Any]:
         return {"policy": "myopic"}
 
 
 class FixedDefender(Defender):
-    """Plays one precomputed allocation every round."""
+    """Plays ``allocate(system)``, computed at start, every round;
+    ``descriptor`` is recorded in traces."""
 
-    def __init__(self, allocation: DefenseAllocation, name: str = "fixed"):
-        self._allocation = allocation
-        self._name = name
-
-    def start(self, view: System | SystemView, horizon: int) -> None:
-        pass
-
-    def commit(self, round_index: int) -> DefenseAllocation:
-        return self._allocation
-
-    def describe(self) -> dict[str, Any]:
-        return {"policy": self._name}
-
-
-class UniformDefender(Defender):
-    """Fixed budget / |E| on every edge."""
-
-    def __init__(self):
+    def __init__(
+        self,
+        allocate: Callable[[System | SystemView], DefenseAllocation],
+        descriptor: Mapping[str, Any],
+    ):
+        self._allocate = allocate
+        self._descriptor = dict(descriptor)
         self._allocation: DefenseAllocation | None = None
 
     def start(self, view: System | SystemView, horizon: int) -> None:
-        self._allocation = uniform_defense(view)
+        self._allocation = self._allocate(view)
 
     def commit(self, round_index: int) -> DefenseAllocation:
         return self._allocation
 
     def describe(self) -> dict[str, Any]:
-        return {"policy": "uniform"}
-
-
-class MinimaxDefender(Defender):
-    """Plays the minimax fixed allocation for the chosen objective."""
-
-    def __init__(self, objective: str = "roa", limit: int = DEFAULT_ENUMERATION_LIMIT):
-        self._objective = objective
-        self._limit = limit
-        self._allocation: DefenseAllocation | None = None
-
-    def start(self, view: System, horizon: int) -> None:
-        self._allocation = minimax_proactive_defense(
-            view, self._objective, self._limit
-        ).allocation
-
-    def commit(self, round_index: int) -> DefenseAllocation:
-        return self._allocation
-
-    def describe(self) -> dict[str, Any]:
-        return {"policy": "minimax", "objective": self._objective}
-
-
-class MincutDefender(Defender):
-    """Plays the minimum-cut perimeter allocation for a target vertex."""
-
-    def __init__(self, target: str):
-        self._target = target
-        self._allocation: DefenseAllocation | None = None
-
-    def start(self, view: System, horizon: int) -> None:
-        self._allocation = mincut_perimeter_defense(view, self._target)
-
-    def commit(self, round_index: int) -> DefenseAllocation:
-        return self._allocation
-
-    def describe(self) -> dict[str, Any]:
-        return {"policy": "mincut", "target": self._target}
+        return dict(self._descriptor)

@@ -13,11 +13,11 @@ Traces are reproducible bit-for-bit from (system, policies, rounds, seed).
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .attackers import Attacker, MultiAttackRound, aggregate_multi_attack
+from .attackers import Attacker, MultiAttackRound
 from .defenders import Defender
 from .model import (
     Attack,
@@ -48,20 +48,27 @@ def masked_view(system: System, revealed: Iterable[str]) -> SystemView:
     )
 
 
+def round_edge_usage(attacks: Sequence[Attack]) -> dict[str, float]:
+    """Per-edge usage of one round: attacks through the edge over attacks.
+
+    The learner is fed it and the hindsight optimum is charged with it.
+    """
+    counts: dict[str, int] = {}
+    for attack in attacks:
+        for eid in attack.path:
+            counts[eid] = counts.get(eid, 0) + 1
+    return {eid: count / len(attacks) for eid, count in counts.items()}
+
+
 @dataclass(frozen=True)
 class RoundFeedback:
-    """What the defender learns after a round.
-
-    ``edge_weights`` is the update column: 1 per edge of a single attack,
-    aggregate distribution mass for a population round.  ``view`` is the
-    refreshed masked view for reactive defenders, None otherwise.
-    """
+    """What the defender learns after a round; ``edge_weights`` is the
+    round's ``round_edge_usage``."""
 
     round_index: int
     attacks: tuple[Attack, ...]
     surfaces: Mapping[str, float]
     edge_weights: Mapping[str, float]
-    view: SystemView | None
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,6 @@ class RoundRecord:
     @property
     def is_multi(self) -> bool:
         return len(self.attacks) > 1
-
-    def aggregate(self) -> dict[str, float]:
-        """Edge distribution of the round's attacks."""
-        return aggregate_multi_attack(MultiAttackRound(self.attacks))
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,8 @@ class GameTrace:
         on population rounds), as consumed by hindsight analysis."""
         usage: dict[str, float] = {}
         for record in self.records:
-            share = 1.0 / len(record.attacks)
-            for attack in record.attacks:
-                for eid in attack.path:
-                    usage[eid] = usage.get(eid, 0.0) + share
+            for eid, weight in round_edge_usage(record.attacks).items():
+                usage[eid] = usage.get(eid, 0.0) + weight
         return usage
 
 
@@ -161,18 +162,13 @@ def run_game(
                     newly.append(eid)
                 if eid not in surfaces:
                     surfaces[eid] = system.surface(eid)
-        if len(attacks) == 1:
-            weights = {eid: 1.0 for eid in attacks[0].path}
-        else:
-            weights = aggregate_multi_attack(move)
         round_costs = [cost(system, a, allocation) for a in attacks]
         round_payoffs = [payoff(system, a) for a in attacks]
         feedback = RoundFeedback(
             round_index=t,
             attacks=attacks,
             surfaces=surfaces,
-            edge_weights=weights,
-            view=masked_view(system, revealed) if defender.reactive else None,
+            edge_weights=round_edge_usage(attacks),
         )
         defender.observe(feedback)
         records.append(

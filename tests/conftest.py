@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from reactive_defense.defenders import FixedDefender, uniform_defense
 from reactive_defense.generators import random_attack, random_system
 from reactive_defense.model import Attack, System
 from reactive_defense.paths import EnumerationLimitError, enumerate_attacks
@@ -41,3 +42,8 @@ def attack_sequence(system: System, rng: random.Random, length: int) -> list[Att
         attack = random_attack(system, rng)
         out.append(attack if attack is not None else fallback)
     return out
+
+
+def uniform_defender() -> FixedDefender:
+    """The fixed budget / |E| allocation, as the ``uniform`` spec builds it."""
+    return FixedDefender(uniform_defense, {"policy": "uniform"})

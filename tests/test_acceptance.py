@@ -16,17 +16,17 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import attack_sequence, sample_systems
+from conftest import attack_sequence, sample_systems, uniform_defender
 from reactive_defense import (
     Attack,
     BestResponseAttacker,
     DefenseAllocation,
     FixedDefender,
+    HedgeState,
     MultiAttackRound,
+    MultiAttacker,
     RandomPathAttacker,
     ReactiveDefender,
-    ReactiveHiddenState,
-    UniformDefender,
     aggregate_multi_attack,
     best_response,
     beta_schedule,
@@ -35,18 +35,17 @@ from reactive_defense import (
     fixture,
     game_value,
     graph_to_horn,
-    hindsight_best_proactive,
+    hedge_allocation,
+    hedge_update,
+    hindsight_from_usage,
+    horizon_beta,
     horn_cost,
     horn_payoff,
-    known_allocation,
     lower_bound_experiment,
     mincut_perimeter_defense,
     minimax_proactive_defense,
     profit_regret,
     reactive_hidden_step,
-    reactive_known_start,
-    reactive_known_step,
-    reactive_known_update,
     restrict_edges,
     roa,
     roa_ratio,
@@ -66,6 +65,13 @@ def test_criterion_01_average_profit_regret_ceiling():
         "roa": lambda: BestResponseAttacker("roa"),
         "profit": lambda: BestResponseAttacker("profit"),
         "random": lambda: RandomPathAttacker(),
+        "population": lambda: MultiAttacker(
+            [
+                BestResponseAttacker("roa"),
+                BestResponseAttacker("profit"),
+                RandomPathAttacker(),
+            ]
+        ),
     }
     games = 0
     plan = [(10, 100, 100), (100, 50, 20_000), (1000, 20, 40_000)]
@@ -177,19 +183,17 @@ def test_criterion_05_star_separation_is_exactly_n():
     for leaves in (2, 4, 8):
         system = star(leaves=leaves)
         uniform_trace = run_game(
-            system, UniformDefender(), BestResponseAttacker("roa"), rounds=rounds
+            system, uniform_defender(), BestResponseAttacker("roa"), rounds=rounds
         )
         report = roa_ratio(uniform_trace, alpha=1.0)
         assert report.measured == float(leaves)
 
         # same exact ratio via the two cumulative returns: the budget is
         # dyadic, so every quantity is exact in floating point
-        rational, _ = hindsight_best_proactive(
-            system, [a for r in uniform_trace.records for a in r.attacks]
-        )
+        rational, _ = hindsight_from_usage(system, uniform_trace.edge_usage())
         rational_trace = run_game(
             system,
-            FixedDefender(rational, name="concentrated"),
+            FixedDefender(lambda view: rational, {"policy": "concentrated"}),
             BestResponseAttacker("roa"),
             rounds=rounds,
         )
@@ -249,25 +253,28 @@ def test_criterion_07_revealed_subgraph_equivalence():
     for seed, system in sample_systems(100, base_seed=70_000, max_extra_edges=11):
         rng = random.Random(seed)
         attacks = attack_sequence(system, rng, 30)
-        state = ReactiveHiddenState(budget=system.budget)
+        state = HedgeState(budget=system.budget)
         revealed: list[str] = []
         for k, attack in enumerate(attacks, start=1):
             for eid in attack.path:
                 if eid not in revealed:
                     revealed.append(eid)
             surfaces = {eid: system.surface(eid) for eid in attack.path}
-            state, hidden = reactive_hidden_step(state, attack, surfaces)
+            hits = {eid: 1.0 for eid in attack.path}
+            state, hidden = reactive_hidden_step(state, hits, surfaces)
 
-            replay = reactive_known_start(
-                restrict_edges(system, revealed),
-                horizon=k,
-                beta=beta_schedule(len(revealed), k),
-            )
+            # Replay the prefix on the revealed subgraph by hand: each edge
+            # holds beta ** score of the budget, score = -hits / surface.
+            subgraph = restrict_edges(system, revealed)
+            beta = beta_schedule(len(revealed), k)
+            scores = {e.id: 0.0 for e in subgraph.edges}
             for earlier in attacks[:k]:
-                replay = reactive_known_step(replay, earlier)
-            fresh = known_allocation(replay)
+                for eid in earlier.path:
+                    scores[eid] -= 1.0 / subgraph.surface(eid)
+            z = sum(beta**score for score in scores.values())
             for eid in revealed:
-                assert hidden.get(eid) == pytest.approx(fresh.get(eid), abs=1e-9), (
+                fresh = subgraph.budget * beta ** scores[eid] / z
+                assert hidden.get(eid) == pytest.approx(fresh, abs=1e-9), (
                     f"seed {seed}, round {k}, edge {eid}"
                 )
         sequences += 1
@@ -332,17 +339,19 @@ def test_criterion_10_update_shift_invariance():
         rng = random.Random(9_000 + trial)
         system = random_system(rng, max_extra_edges=9)
         horizon = 20
-        plain = reactive_known_start(system, horizon)
-        shifted = reactive_known_start(system, horizon)
+        surfaces = {e.id: e.surface for e in system.edges}
+        plain = shifted = HedgeState(
+            system.budget, surfaces, fixed_beta=horizon_beta(len(surfaces), horizon)
+        )
         for _ in range(horizon):
             column = {e.id: rng.uniform(-2.0, 2.0) for e in system.edges}
             offset = rng.uniform(-5.0, 5.0)
-            plain = reactive_known_update(plain, column)
-            shifted = reactive_known_update(
+            plain = hedge_update(plain, column)
+            shifted = hedge_update(
                 shifted, {eid: value + offset for eid, value in column.items()}
             )
-            a = known_allocation(plain)
-            b = known_allocation(shifted)
+            a = hedge_allocation(plain)
+            b = hedge_allocation(shifted)
             for e in system.edges:
                 assert a.get(e.id) == pytest.approx(b.get(e.id), abs=1e-9), (
                     f"trial {trial}, edge {e.id}"

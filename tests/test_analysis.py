@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+from conftest import uniform_defender
 from reactive_defense import (
     Attack,
     Attacker,
@@ -17,7 +18,6 @@ from reactive_defense import (
     RandomPathAttacker,
     ReactiveDefender,
     System,
-    UniformDefender,
     exact_two_edge_gap,
     fixture,
     game_value,
@@ -79,7 +79,7 @@ def test_profit_regret_frozen_ceiling():
 
 def test_profit_regret_requires_reactive_trace():
     trace = run_game(
-        fixture("appendix_b"), UniformDefender(), RandomPathAttacker(), rounds=5
+        fixture("appendix_b"), uniform_defender(), RandomPathAttacker(), rounds=5
     )
     with pytest.raises(ValueError, match="reactive-hidden"):
         profit_regret(trace)
@@ -99,7 +99,7 @@ def test_roa_ratio_accepts_fixed_defenses():
     # uniform defense on the 4-leaf star concedes exactly 4x the
     # concentrated allocation's return
     trace = run_game(
-        fixture("fig3_n4"), UniformDefender(), BestResponseAttacker("roa"), rounds=16
+        fixture("fig3_n4"), uniform_defender(), BestResponseAttacker("roa"), rounds=16
     )
     report = roa_ratio(trace, alpha=1.0)
     assert report.measured == 4.0
@@ -111,7 +111,7 @@ def test_roa_ratio_accepts_fixed_defenses():
 def test_roa_ratio_undefined_on_free_rides():
     trace = run_game(
         fixture("appendix_b"),
-        FixedDefender(zero_allocation(1.0), name="noop"),
+        FixedDefender(lambda view: zero_allocation(1.0), {"policy": "noop"}),
         BestResponseAttacker("roa"),
         rounds=3,
     )

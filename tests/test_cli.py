@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import reactive_defense
 from reactive_defense import fixture, load_system
 from reactive_defense.cli import build_attacker, build_defender, main
 from reactive_defense.attackers import (
@@ -19,11 +24,8 @@ from reactive_defense.attackers import (
 from reactive_defense.defenders import (
     FixedDefender,
     KnownEdgesDefender,
-    MincutDefender,
-    MinimaxDefender,
     MyopicDefender,
     ReactiveDefender,
-    UniformDefender,
 )
 from reactive_defense.fixtures import FIXTURES
 
@@ -197,6 +199,19 @@ def test_mincut_command(capsys):
     assert "unknown vertex" in err
 
 
+def test_cli_import_does_not_load_networkx():
+    probe = "import sys, reactive_defense.cli; print('networkx' in sys.modules)"
+    src = str(Path(reactive_defense.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_lower_bound_command(capsys):
     code, stdout, _ = run_cli(
         capsys, "lower-bound", "-T", "2", "--seeds", "exhaustive"
@@ -299,16 +314,30 @@ def test_build_defender_specs(tmp_path):
     assert isinstance(build_defender("known", system), KnownEdgesDefender)
     known = build_defender("known:0.5", system)
     assert known.describe()["beta"] == 0.5
-    assert isinstance(build_defender("uniform", system), UniformDefender)
+    uniform = build_defender("uniform", system)
+    assert isinstance(uniform, FixedDefender)
+    assert uniform.describe() == {"policy": "uniform"}
     assert isinstance(build_defender("myopic", system), MyopicDefender)
-    assert build_defender("minimax-roa", system).describe()["objective"] == "roa"
-    assert build_defender("minimax-profit", system).describe()["objective"] == "profit"
-    assert isinstance(build_defender("mincut:db", system), MincutDefender)
+    assert build_defender("minimax-roa", system).describe() == {
+        "policy": "minimax",
+        "objective": "roa",
+    }
+    assert build_defender("minimax-profit", system).describe() == {
+        "policy": "minimax",
+        "objective": "profit",
+    }
+    mincut = build_defender("mincut:db", system)
+    assert isinstance(mincut, FixedDefender)
+    assert mincut.describe() == {"policy": "mincut", "target": "db"}
+    mincut.start(system, horizon=1)
+    assert mincut.commit(1).alloc == {"right": 10.0}
 
     alloc = tmp_path / "alloc.json"
     alloc.write_text('{"left": 4.0, "right": 6.0}')
     fixed = build_defender(f"fixed:{alloc}", system)
     assert isinstance(fixed, FixedDefender)
+    assert fixed.describe() == {"policy": "fixed"}
+    fixed.start(system, horizon=1)
     assert fixed.commit(1).get("left") == 4.0
 
     with pytest.raises(ValueError, match="unknown defender"):

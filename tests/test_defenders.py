@@ -12,32 +12,26 @@ from hypothesis import strategies as st
 from conftest import attack_sequence, sample_systems
 from reactive_defense import (
     Attack,
+    BestResponseAttacker,
     DefenseAllocation,
     FixedDefender,
+    HedgeState,
     KnownEdgesDefender,
-    MincutDefender,
-    MinimaxDefender,
     MyopicDefender,
     ReactiveDefender,
-    ReactiveHiddenState,
     System,
-    UniformDefender,
     beta_schedule,
     fixture,
-    hidden_allocation,
-    hindsight_best_proactive,
+    hedge_allocation,
+    hedge_update,
     hindsight_from_usage,
     horizon_beta,
-    known_allocation,
     mincut_perimeter_defense,
     minimax_proactive_defense,
     myopic_defense,
     reactive_hidden_step,
-    reactive_hidden_update,
-    reactive_known_start,
-    reactive_known_step,
-    reactive_known_update,
     roa,
+    run_game,
     uniform_defense,
     zero_allocation,
 )
@@ -77,23 +71,25 @@ def test_beta_schedule_anneals_toward_one():
 # hidden-edge learner
 
 
+def _hits(attack: Attack) -> dict[str, float]:
+    return {eid: 1.0 for eid in attack.path}
+
+
 def test_hidden_allocation_zero_before_any_attack():
-    state = ReactiveHiddenState(budget=5.0)
-    assert hidden_allocation(state).total() == 0.0
-    assert state.last_beta is None
+    state = HedgeState(budget=5.0)
+    assert hedge_allocation(state).total() == 0.0
+    assert state.beta is None
     assert state.round_index == 0
 
 
 def test_hidden_step_overridden_rate():
     surfaces = {"e1": 1.0, "e2": 1.0}
-    state = ReactiveHiddenState(budget=3.0)
-    state, alloc = reactive_hidden_update(
-        state, {"e1": 1.0, "e2": 1.0}, surfaces, beta=0.5
-    )
+    state = HedgeState(budget=3.0, fixed_beta=0.5)
+    state, alloc = reactive_hidden_step(state, {"e1": 1.0, "e2": 1.0}, surfaces)
     assert alloc.get("e1") == pytest.approx(1.5, rel=1e-12)
     assert alloc.get("e2") == pytest.approx(1.5, rel=1e-12)
 
-    state, alloc = reactive_hidden_step(state, Attack(("e1",)), surfaces, beta=0.5)
+    state, alloc = reactive_hidden_step(state, {"e1": 1.0}, surfaces)
     # scores (-2, -1): shares proportional to 0.5**-2 : 0.5**-1 = 2 : 1
     assert state.scores["e1"] == -2.0
     assert state.scores["e2"] == -1.0
@@ -104,13 +100,14 @@ def test_hidden_step_overridden_rate():
 
 def test_hidden_step_default_schedule():
     surfaces = {"e1": 2.0, "e2": 4.0}
-    state = ReactiveHiddenState(budget=1.0)
-    state, _ = reactive_hidden_step(state, Attack(("e1",)), surfaces)
-    assert state.last_beta == beta_schedule(1, 1) == 1.0
-    state, alloc = reactive_hidden_step(state, Attack(("e2",)), surfaces)
+    state = HedgeState(budget=1.0)
+    state, _ = reactive_hidden_step(state, {"e1": 1.0}, surfaces)
+    assert state.beta == beta_schedule(1, 1) == 1.0
+    state, alloc = reactive_hidden_step(state, {"e2": 1.0}, surfaces)
     # two edges revealed after two rounds
     beta = beta_schedule(2, 2)
-    assert state.last_beta == beta
+    assert state.beta == beta
+    assert list(state.surfaces) == ["e1", "e2"]
     # recompute the allocation directly from the committed scores
     shares = {eid: beta ** state.scores[eid] for eid in surfaces}
     z = sum(shares.values())
@@ -120,43 +117,47 @@ def test_hidden_step_default_schedule():
 
 def test_hidden_update_weighted_masses():
     surfaces = {"a": 1.0, "b": 2.0}
-    state = ReactiveHiddenState(budget=4.0)
-    state, _ = reactive_hidden_update(state, {"a": 0.25, "b": 0.75}, surfaces)
+    state = HedgeState(budget=4.0)
+    state, _ = reactive_hidden_step(state, {"a": 0.25, "b": 0.75}, surfaces)
     assert state.scores["a"] == -0.25
     assert state.scores["b"] == -0.375
 
 
 def test_hidden_update_rejects_bad_input():
     surfaces = {"e1": 1.0}
-    state = ReactiveHiddenState(budget=1.0)
-    with pytest.raises(ValueError, match="empty attack"):
-        reactive_hidden_step(state, Attack(()), surfaces)
+    state = HedgeState(budget=1.0)
     with pytest.raises(ValueError, match="no attacked edges"):
-        reactive_hidden_update(state, {}, surfaces)
+        reactive_hidden_step(state, {}, surfaces)
     with pytest.raises(ValueError, match="negative attack weight"):
-        reactive_hidden_update(state, {"e1": -0.5}, surfaces)
+        reactive_hidden_step(state, {"e1": -0.5}, surfaces)
     with pytest.raises(ValueError, match="no surface reported"):
-        reactive_hidden_update(state, {"ghost": 1.0}, surfaces)
+        reactive_hidden_step(state, {"ghost": 1.0}, surfaces)
     with pytest.raises(ValueError, match="must be positive"):
-        reactive_hidden_update(state, {"e1": 1.0}, {"e1": -2.0})
-    state, _ = reactive_hidden_step(state, Attack(("e1",)), surfaces)
+        reactive_hidden_step(state, {"e1": 1.0}, {"e1": -2.0})
+    state, _ = reactive_hidden_step(state, {"e1": 1.0}, surfaces)
     with pytest.raises(ValueError, match="re-revealed"):
-        reactive_hidden_step(state, Attack(("e1",)), {"e1": 3.0})
+        reactive_hidden_step(state, {"e1": 1.0}, {"e1": 3.0})
     with pytest.raises(ValueError, match="beta"):
-        hidden_allocation(state, beta=0.0)
+        hedge_allocation(HedgeState(1.0, state.surfaces, fixed_beta=0.0))
     with pytest.raises(ValueError, match="beta"):
-        hidden_allocation(state, beta=1.5)
+        hedge_allocation(HedgeState(1.0, state.surfaces, fixed_beta=1.5))
 
 
 # ---------------------------------------------------------------------------
 # known-edge learner
 
 
+def _known_state(system, beta: float) -> HedgeState:
+    surfaces = {e.id: e.surface for e in system.edges}
+    return HedgeState(system.budget, surfaces, fixed_beta=beta)
+
+
 def test_known_start_uniform():
     system = fixture("fig3_n4")
-    state = reactive_known_start(system, horizon=50)
-    assert state.beta == horizon_beta(4, 50)
-    alloc = known_allocation(state)
+    defender = KnownEdgesDefender()
+    defender.start(system, horizon=50)
+    assert defender.last_beta == horizon_beta(4, 50)
+    alloc = defender.commit(1)
     for eid in system.edge_ids:
         assert alloc.get(eid) == pytest.approx(system.budget / 4.0, rel=1e-12)
     assert alloc.total() == pytest.approx(system.budget, rel=1e-12)
@@ -166,43 +167,57 @@ def test_known_step_penalizes_attacked_edge():
     system = System.build(
         edges=[("e1", "s", "a", 1.0), ("e2", "s", "b", 1.0)], budget=1.0
     )
-    state = reactive_known_start(system, horizon=10, beta=0.5)
-    state = reactive_known_step(state, Attack(("e1",)))
-    alloc = known_allocation(state)
+    state = _known_state(system, beta=0.5)
+    state, alloc = reactive_hidden_step(state, {"e1": 1.0}, {"e1": 1.0})
     # share(e1) doubles before renormalizing: (1, 0.5) -> (2/3, 1/3)
     assert alloc.get("e1") == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert alloc.get("e2") == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert state.round_index == 1
+    assert state.beta == 0.5
 
 
 def test_known_update_shift_invariant():
     system = fixture("fig3_n2")
-    base = reactive_known_start(system, horizon=20, beta=0.7)
+    base = _known_state(system, beta=0.7)
     eids = list(base.surfaces)
     column = {eids[0]: -1.4, eids[1]: 0.25}
     shifted = {eid: column[eid] + 3.75 for eid in eids}
-    a = reactive_known_update(base, column)
-    b = reactive_known_update(base, shifted)
+    a = hedge_allocation(hedge_update(base, column))
+    b = hedge_allocation(hedge_update(base, shifted))
     for eid in eids:
-        assert a.log_shares[eid] == pytest.approx(b.log_shares[eid], abs=1e-12)
+        assert a.get(eid) == pytest.approx(b.get(eid), rel=1e-12)
+
+
+def test_known_defender_tie_trajectory_is_frozen():
+    # On fig2 both scores are exactly -9/5 after round 9: the allocation is
+    # the exact even split of round 1, and the best response again breaks
+    # the return-on-attack tie toward "left" alone.  By round 19 rounding
+    # has put one ulp more on "left", and the tie breaks the other way.
+    system = fixture("fig2")
+    trace = run_game(system, KnownEdgesDefender(), BestResponseAttacker("roa"), 20)
+    tenth = trace.records[9].allocation
+    assert tenth.alloc == {"left": 5.0, "right": 5.0}
+    assert trace.records[0].allocation.alloc == tenth.alloc
+    one, two = ("left",), ("left", "right")
+    assert [r.attacks[0].path for r in trace.records] == (
+        [one, two] + [one] * 8 + [two] + [one] * 7 + [two, one]
+    )
 
 
 def test_known_learner_rejects_bad_input():
     system = fixture("fig3_n2")
     with pytest.raises(ValueError, match="horizon"):
-        reactive_known_start(system, horizon=0)
+        KnownEdgesDefender().start(system, horizon=0)
     with pytest.raises(ValueError, match="beta"):
-        reactive_known_start(system, horizon=5, beta=1.5)
-    state = reactive_known_start(system, horizon=5)
-    with pytest.raises(ValueError, match="empty attack"):
-        reactive_known_step(state, Attack(()))
+        KnownEdgesDefender(beta=1.5).start(system, horizon=5)
+    state = _known_state(system, beta=0.5)
     with pytest.raises(KeyError, match="ghost"):
-        reactive_known_step(state, Attack(("ghost",)))
-    with pytest.raises(KeyError, match="ghost"):
-        reactive_known_update(state, {"ghost": 1.0})
+        hedge_update(state, {"ghost": 1.0})
+    with pytest.raises(ValueError, match="no surface reported"):
+        reactive_hidden_step(state, {"ghost": 1.0}, {})
     empty = System.build(edges=[], start="s")
     with pytest.raises(ValueError, match="no edges"):
-        reactive_known_start(empty, horizon=5)
+        KnownEdgesDefender().start(empty, horizon=5)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +249,23 @@ def test_mincut_merges_parallel_edges():
     assert alloc.get("p1") == pytest.approx(2.0 * 1.0 / 3.25, rel=1e-12)
     assert alloc.get("p2") == pytest.approx(2.0 * 2.0 / 3.25, rel=1e-12)
     assert alloc.get("r") == pytest.approx(2.0 * 0.25 / 3.25, rel=1e-12)
+
+
+def test_mincut_ties_go_to_the_sink_side():
+    # s -> m -> {x, y} -> t: the cuts {sm}, {mx, my}, {xt, yt}, {mx, yt}
+    # and {my, xt} all weigh 2; the one nearest the target is chosen
+    system = System.build(
+        edges=[
+            ("sm", "s", "m", 2.0),
+            ("mx", "m", "x", 1.0),
+            ("my", "m", "y", 1.0),
+            ("xt", "x", "t", 1.0),
+            ("yt", "y", "t", 1.0),
+        ],
+        rewards={"t": 1.0},
+        budget=4.0,
+    )
+    assert mincut_perimeter_defense(system, "t").alloc == {"xt": 2.0, "yt": 2.0}
 
 
 def test_mincut_rejects_bad_targets():
@@ -305,24 +337,19 @@ def test_minimax_degenerate_cases():
 
 def test_hindsight_best_proactive():
     system = fixture("appendix_b")
-    attacks = [Attack(("e1",)), Attack(("e1",)), Attack(("e2",))]
-    alloc, best_cost = hindsight_best_proactive(system, attacks)
+    alloc, best_cost = hindsight_from_usage(system, {"e1": 2.0, "e2": 1.0})
     assert alloc.alloc == {"e1": 1.0}
     assert best_cost == 2.0
 
     # exact tie goes to the smallest edge id
-    alloc, best_cost = hindsight_best_proactive(
-        system, [Attack(("e1",)), Attack(("e2",))]
-    )
+    alloc, best_cost = hindsight_from_usage(system, {"e2": 1.0, "e1": 1.0})
     assert alloc.alloc == {"e1": 1.0}
     assert best_cost == 1.0
 
 
 def test_hindsight_weighs_usage_by_surface():
     system = fixture("fig2")
-    alloc, best_cost = hindsight_best_proactive(
-        system, [Attack(("left", "right"))]
-    )
+    alloc, best_cost = hindsight_from_usage(system, {"left": 1.0, "right": 1.0})
     # one use each: 1/5 on the wide edge vs 9/5 on the narrow one
     assert alloc.alloc == {"right": 10.0}
     assert best_cost == pytest.approx(18.0, rel=1e-12)
@@ -343,14 +370,14 @@ def test_uniform_and_myopic_defense():
     assert uni.get("left") == 5.0
     assert uni.get("right") == 5.0
 
-    myo = myopic_defense(system, Attack(("left", "right")))
+    myo = myopic_defense(system.budget, {"left": 5.0, "right": 5.0 / 9.0})
     total_surface = 5.0 + 5.0 / 9.0
     assert myo.get("left") == pytest.approx(10.0 * 5.0 / total_surface, rel=1e-12)
     assert myo.get("right") == pytest.approx(
         10.0 * (5.0 / 9.0) / total_surface, rel=1e-12
     )
-    with pytest.raises(ValueError, match="empty"):
-        myopic_defense(system, Attack(()))
+    with pytest.raises(ValueError, match="no edges"):
+        myopic_defense(system.budget, {})
     with pytest.raises(ValueError, match="no edges"):
         uniform_defense(System.build(edges=[], start="s"))
 
@@ -370,17 +397,26 @@ def test_defender_descriptors():
         "beta": "horizon",
     }
     assert KnownEdgesDefender(beta=0.7).describe()["beta"] == 0.7
-    assert FixedDefender(zero_allocation(1.0)).describe() == {"policy": "fixed"}
-    assert FixedDefender(zero_allocation(1.0), name="noop").describe() == {
-        "policy": "noop"
-    }
-    assert MinimaxDefender("profit").describe() == {
-        "policy": "minimax",
-        "objective": "profit",
-    }
-    assert MincutDefender("db").describe() == {"policy": "mincut", "target": "db"}
-    assert UniformDefender().describe() == {"policy": "uniform"}
+    noop = FixedDefender(lambda view: zero_allocation(1.0), {"policy": "noop"})
+    assert noop.describe() == {"policy": "noop"}
     assert MyopicDefender().describe() == {"policy": "myopic"}
+
+
+def test_fixed_defender_computes_its_allocation_at_start():
+    system = fixture("fig2")
+    seen = []
+
+    def allocate(view):
+        seen.append(view)
+        return uniform_defense(view)
+
+    defender = FixedDefender(allocate, {"policy": "uniform"})
+    assert seen == []
+    defender.start(system, horizon=3)
+    assert seen == [system]
+    assert defender.commit(1) is defender.commit(2)
+    assert defender.commit(1).alloc == {"left": 5.0, "right": 5.0}
+    assert defender.last_beta is None
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +431,11 @@ def test_fixed_rate_ratio_monotone(seed):
     system = random_system(rng, max_extra_edges=7)
     if len(system.edges) < 2:
         return
-    state = reactive_known_start(system, horizon=50)
+    state = _known_state(system, horizon_beta(len(system.edges), 50))
+    after = hedge_allocation(state)
     for attack in attack_sequence(system, rng, 6):
-        before = known_allocation(state)
-        state = reactive_known_step(state, attack)
-        after = known_allocation(state)
+        before = after
+        state, after = reactive_hidden_step(state, _hits(attack), state.surfaces)
         hit = set(attack.path)
         for spared in set(system.edge_ids) - hit:
             for eid in hit:
@@ -416,14 +452,14 @@ def test_annealed_ratio_monotone_without_new_reveals(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     surfaces = {f"e{i}": 1.0 for i in range(n)}
-    state = ReactiveHiddenState(budget=1.0)
-    state, alloc = reactive_hidden_update(
+    state = HedgeState(budget=1.0)
+    state, alloc = reactive_hidden_step(
         state, {eid: 1.0 / n for eid in surfaces}, surfaces
     )
     for _ in range(rng.randint(1, 12)):
         target = rng.choice(sorted(surfaces))
         before = alloc
-        state, alloc = reactive_hidden_update(state, {target: 1.0}, surfaces)
+        state, alloc = reactive_hidden_step(state, {target: 1.0}, surfaces)
         for other in surfaces:
             if other == target:
                 continue
@@ -437,9 +473,9 @@ def test_annealed_ratio_monotone_without_new_reveals(seed):
 def test_learner_allocations_feasible(seed):
     rng = random.Random(seed)
     system = random_system(rng, max_extra_edges=9)
-    state = ReactiveHiddenState(budget=system.budget)
+    state = HedgeState(budget=system.budget)
     surfaces = {e.id: e.surface for e in system.edges}
     for attack in attack_sequence(system, rng, 10):
-        state, alloc = reactive_hidden_step(state, attack, surfaces)
+        state, alloc = reactive_hidden_step(state, _hits(attack), surfaces)
         assert alloc.total() == pytest.approx(system.budget, rel=1e-9)
         assert set(alloc.support()) <= set(state.surfaces)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import sample_systems
+from conftest import sample_systems, uniform_defender
 from reactive_defense import (
     Attack,
     Attacker,
@@ -21,12 +23,12 @@ from reactive_defense import (
     RandomPathAttacker,
     ReactiveDefender,
     System,
-    UniformDefender,
     beta_schedule,
     cost,
     fixture,
     masked_view,
     payoff,
+    round_edge_usage,
     run_game,
     zero_allocation,
 )
@@ -153,13 +155,16 @@ def test_population_round_logs_means():
     ]
     defense = DefenseAllocation({"left": 3.0, "right": 6.0}, 9.0)
     trace = run_game(
-        system, FixedDefender(defense), FixedSequenceAttacker(moves), rounds=2
+        system,
+        FixedDefender(lambda view: defense, {"policy": "fixed"}),
+        FixedSequenceAttacker(moves),
+        rounds=2,
     )
     first = trace.records[0]
     assert first.is_multi
     assert first.payoff == (1.0 + 10.0) / 2.0
     assert first.cost == (3.0 + 6.0) / 2.0
-    assert first.aggregate() == {"left": 0.5, "right": 0.5}
+    assert round_edge_usage(first.attacks) == {"left": 0.5, "right": 0.5}
     assert not trace.records[1].is_multi
 
 
@@ -170,19 +175,54 @@ def test_edge_usage_weighs_population_rounds():
         Attack(("left",)),
     ]
     trace = run_game(
-        system, UniformDefender(), FixedSequenceAttacker(moves), rounds=2
+        system, uniform_defender(), FixedSequenceAttacker(moves), rounds=2
     )
     usage = trace.edge_usage()
     assert usage["left"] == pytest.approx(2.0 / 3.0 + 1.0, rel=1e-12)
     assert usage["right"] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+def test_learner_is_fed_per_attacker_usage():
+    # each edge's usage is the attackers through it over all attackers
+    fed = []
+
+    class Recorder(ReactiveDefender):
+        def observe(self, feedback):
+            fed.append(dict(feedback.edge_weights))
+            super().observe(feedback)
+
+    moves = [
+        MultiAttackRound(
+            (Attack(("left",)), Attack(("left", "right")), Attack(("left",)))
+        )
+    ]
+    run_game(fixture("fig2"), Recorder(), FixedSequenceAttacker(moves), rounds=1)
+    assert fed == [{"left": 1.0, "right": 1.0 / 3.0}]
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=4),
+    st.sampled_from(["roa", "profit"]),
+)
+@settings(max_examples=25, deadline=None)
+def test_identical_population_plays_like_one_attacker(seed, k, objective):
+    # k copies of one best responder move identically, so the learner must
+    # see the same usage and commit the same allocations as against one
+    _, system = sample_systems(1, base_seed=seed, max_paths=200)[0]
+    one = run_game(system, ReactiveDefender(), BestResponseAttacker(objective), rounds=12)
+    crowd = MultiAttacker([BestResponseAttacker(objective) for _ in range(k)])
+    many = run_game(system, ReactiveDefender(), crowd, rounds=12)
+    assert [r.allocation for r in many.records] == [r.allocation for r in one.records]
+    assert many.edge_usage() == one.edge_usage()
+
+
 def test_engine_rejects_bad_rounds_and_systems():
     with pytest.raises(ValueError, match="at least one round"):
-        run_game(fixture("fig2"), UniformDefender(), BestResponseAttacker(), rounds=0)
+        run_game(fixture("fig2"), uniform_defender(), BestResponseAttacker(), rounds=0)
     broken = System.build(edges=[("e", "s", "a", -1.0)], budget=1.0)
     with pytest.raises(ValidationError):
-        run_game(broken, UniformDefender(), BestResponseAttacker(), rounds=1)
+        run_game(broken, uniform_defender(), BestResponseAttacker(), rounds=1)
 
 
 def test_engine_rejects_invalid_attacks():
@@ -197,7 +237,7 @@ def test_engine_rejects_invalid_attacks():
             return {"policy": "lazy"}
 
     with pytest.raises(InvalidAttackError, match="empty"):
-        run_game(fixture("fig2"), UniformDefender(), Lazy(), rounds=1)
+        run_game(fixture("fig2"), uniform_defender(), Lazy(), rounds=1)
 
     class Teleporter(Attacker):
         def start(self, system, rng, horizon):
@@ -210,12 +250,12 @@ def test_engine_rejects_invalid_attacks():
             return {"policy": "teleporter"}
 
     with pytest.raises(InvalidAttackError, match="starts at"):
-        run_game(fixture("fig2"), UniformDefender(), Teleporter(), rounds=1)
+        run_game(fixture("fig2"), uniform_defender(), Teleporter(), rounds=1)
 
 
 def test_trace_carries_descriptors():
     trace = run_game(
-        fixture("fig2"), UniformDefender(), BestResponseAttacker("roa"), rounds=2
+        fixture("fig2"), uniform_defender(), BestResponseAttacker("roa"), rounds=2
     )
     assert isinstance(trace, GameTrace)
     assert trace.defender == {"policy": "uniform"}

@@ -244,7 +244,7 @@ def test_population_trace_round_trip(tmp_path):
     round_ = MultiAttackRound((Attack(("e1",)), Attack(("e2",)), Attack(("e1",))))
     trace = run_game(
         system,
-        FixedDefender(zero_allocation(1.0), name="noop"),
+        FixedDefender(lambda view: zero_allocation(1.0), {"policy": "noop"}),
         FixedSequenceAttacker([round_]),
         rounds=1,
     )
