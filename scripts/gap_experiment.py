@@ -8,7 +8,7 @@ Usage: python scripts/gap_experiment.py [--seeds 100]
 
 import argparse
 
-from reactive_defense import exact_two_edge_gap, lower_bound_experiment
+from reactive_defense.analysis import exact_two_edge_gap, lower_bound_experiment
 
 
 def main() -> int:

@@ -11,11 +11,11 @@ import sys
 
 from reactive_defense import (
     BestResponseAttacker,
-    RandomPathAttacker,
     ReactiveDefender,
     profit_regret,
     run_game,
 )
+from reactive_defense.attackers import RandomPathAttacker
 from reactive_defense.generators import random_system
 from reactive_defense.paths import EnumerationLimitError, enumerate_attacks
 

@@ -7,218 +7,19 @@ trace against the reactive defender's regret and return-on-attack
 ceilings.  See the README for the command-line interface.
 """
 
-from .analysis import (
-    BoundReport,
-    GameValue,
-    GapStatistics,
-    RegretCurve,
-    exact_two_edge_gap,
-    game_value,
-    lower_bound_experiment,
-    profit_regret,
-    regret_curve,
-    roa_ratio,
-    roa_threshold_rounds,
-)
-from .attackers import (
-    OBJECTIVES,
-    Attacker,
-    BestResponse,
-    BestResponseAttacker,
-    FixedSequenceAttacker,
-    MultiAttacker,
-    MultiAttackRound,
-    ObliviousAttacker,
-    RandomPathAttacker,
-    aggregate_multi_attack,
-    best_response,
-    random_parallel_attack,
-    select_best_response,
-)
-from .defenders import (
-    Defender,
-    FixedDefender,
-    HedgeState,
-    KnownEdgesDefender,
-    MinimaxResult,
-    MyopicDefender,
-    ReactiveDefender,
-    beta_schedule,
-    hedge_allocation,
-    hedge_update,
-    hindsight_from_usage,
-    horizon_beta,
-    mincut_perimeter_defense,
-    minimax_proactive_defense,
-    myopic_defense,
-    reactive_hidden_step,
-    uniform_defense,
-)
-from .engine import (
-    GameTrace,
-    ReactiveContractError,
-    RoundFeedback,
-    RoundRecord,
-    masked_view,
-    round_edge_usage,
-    run_game,
-)
-from .fixtures import FIXTURES, fixture
-from .generators import random_attack, random_system
-from .horn import (
-    GraphEmbedding,
-    HornClause,
-    HornSystem,
-    Proof,
-    derived_propositions,
-    graph_to_horn,
-    horn_cost,
-    horn_payoff,
-    validate_proof,
-)
-from .io import (
-    ExperimentConfig,
-    FileFormatError,
-    load_allocations,
-    load_attack_sequence,
-    load_config,
-    load_summary,
-    load_system,
-    resolve_system,
-    save_system,
-    system_from_doc,
-    system_to_doc,
-    write_trace,
-)
-from .model import (
-    Attack,
-    DefenseAllocation,
-    Edge,
-    InvalidAttackError,
-    InvalidProofError,
-    System,
-    SystemView,
-    ValidationError,
-    Violation,
-    attack_vertices,
-    cost,
-    cumulative_roa,
-    ensure_valid_system,
-    is_undefined,
-    payoff,
-    profit,
-    restrict_edges,
-    roa,
-    validate_attack,
-    validate_system,
-    zero_allocation,
-)
-from .paths import (
-    DEFAULT_ENUMERATION_LIMIT,
-    EnumerationLimitError,
-    PathSet,
-    enumerate_attacks,
-)
+from .analysis import profit_regret
+from .attackers import BestResponseAttacker
+from .defenders import ReactiveDefender
+from .engine import run_game
+from .fixtures import fixture
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Attack",
-    "Attacker",
-    "BestResponse",
     "BestResponseAttacker",
-    "BoundReport",
-    "DEFAULT_ENUMERATION_LIMIT",
-    "Defender",
-    "DefenseAllocation",
-    "Edge",
-    "EnumerationLimitError",
-    "ExperimentConfig",
-    "FIXTURES",
-    "FileFormatError",
-    "FixedDefender",
-    "FixedSequenceAttacker",
-    "GameTrace",
-    "GameValue",
-    "GapStatistics",
-    "GraphEmbedding",
-    "HedgeState",
-    "HornClause",
-    "HornSystem",
-    "InvalidAttackError",
-    "InvalidProofError",
-    "KnownEdgesDefender",
-    "MinimaxResult",
-    "MultiAttackRound",
-    "MultiAttacker",
-    "MyopicDefender",
-    "OBJECTIVES",
-    "ObliviousAttacker",
-    "PathSet",
-    "Proof",
-    "RandomPathAttacker",
-    "ReactiveContractError",
     "ReactiveDefender",
-    "RegretCurve",
-    "RoundFeedback",
-    "RoundRecord",
-    "System",
-    "SystemView",
-    "ValidationError",
-    "Violation",
-    "aggregate_multi_attack",
-    "attack_vertices",
-    "best_response",
-    "beta_schedule",
-    "cost",
-    "cumulative_roa",
-    "derived_propositions",
-    "ensure_valid_system",
-    "enumerate_attacks",
-    "exact_two_edge_gap",
+    "__version__",
     "fixture",
-    "game_value",
-    "graph_to_horn",
-    "hedge_allocation",
-    "hedge_update",
-    "hindsight_from_usage",
-    "horizon_beta",
-    "horn_cost",
-    "horn_payoff",
-    "is_undefined",
-    "load_allocations",
-    "load_attack_sequence",
-    "load_config",
-    "load_summary",
-    "load_system",
-    "lower_bound_experiment",
-    "masked_view",
-    "mincut_perimeter_defense",
-    "minimax_proactive_defense",
-    "myopic_defense",
-    "payoff",
-    "profit",
     "profit_regret",
-    "random_attack",
-    "random_parallel_attack",
-    "random_system",
-    "reactive_hidden_step",
-    "regret_curve",
-    "resolve_system",
-    "restrict_edges",
-    "roa",
-    "roa_ratio",
-    "roa_threshold_rounds",
-    "round_edge_usage",
     "run_game",
-    "save_system",
-    "select_best_response",
-    "system_from_doc",
-    "system_to_doc",
-    "uniform_defense",
-    "validate_attack",
-    "validate_proof",
-    "validate_system",
-    "write_trace",
-    "zero_allocation",
 ]

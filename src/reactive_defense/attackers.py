@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .model import Attack, DefenseAllocation, System, restrict_edges
-from .paths import DEFAULT_ENUMERATION_LIMIT, PathSet
+from .paths import PathSet
 
 OBJECTIVES = ("roa", "profit")
 
@@ -68,13 +68,10 @@ class BestResponse:
 
 
 def best_response(
-    system: System,
-    allocation: DefenseAllocation,
-    objective: str = "roa",
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
+    system: System, allocation: DefenseAllocation, objective: str = "roa"
 ) -> BestResponse:
     """Exact best response by enumeration of all edge-simple attacks."""
-    return select_best_response(PathSet.enumerate(system, limit), allocation, objective)
+    return select_best_response(PathSet.enumerate(system), allocation, objective)
 
 
 def select_best_response(
@@ -142,15 +139,14 @@ class Attacker(ABC):
 class BestResponseAttacker(Attacker):
     """Plays an exact best response to every committed allocation."""
 
-    def __init__(self, objective: str = "roa", limit: int = DEFAULT_ENUMERATION_LIMIT):
+    def __init__(self, objective: str = "roa"):
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         self._objective = objective
-        self._limit = limit
         self._paths: PathSet | None = None
 
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
-        self._paths = PathSet.enumerate(system, self._limit)
+        self._paths = PathSet.enumerate(system)
 
     def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack:
         return select_best_response(self._paths, allocation, self._objective).attack
@@ -162,13 +158,11 @@ class BestResponseAttacker(Attacker):
 class RandomPathAttacker(Attacker):
     """Uniform choice over all edge-simple attacks, independent per round."""
 
-    def __init__(self, limit: int = DEFAULT_ENUMERATION_LIMIT):
-        self._limit = limit
-        self._paths: PathSet | None = None
-        self._rng: random.Random | None = None
+    _paths: PathSet | None = None
+    _rng: random.Random | None = None
 
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
-        self._paths = PathSet.enumerate(system, self._limit)
+        self._paths = PathSet.enumerate(system)
         self._rng = rng
 
     def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack:
@@ -213,23 +207,15 @@ class ObliviousAttacker(Attacker):
     behavior matches the plain best responder.
     """
 
-    def __init__(
-        self,
-        visible: Iterable[str],
-        objective: str = "roa",
-        limit: int = DEFAULT_ENUMERATION_LIMIT,
-    ):
+    def __init__(self, visible: Iterable[str], objective: str = "roa"):
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}")
         self._visible = tuple(visible)
         self._objective = objective
-        self._limit = limit
         self._paths: PathSet | None = None
 
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
-        self._paths = PathSet.enumerate(
-            restrict_edges(system, self._visible), self._limit
-        )
+        self._paths = PathSet.enumerate(restrict_edges(system, self._visible))
 
     def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack:
         return select_best_response(self._paths, allocation, self._objective).attack

@@ -48,16 +48,12 @@ from .fixtures import FIXTURES, fixture
 from .io import (
     FileFormatError,
     load_config,
+    load_fixed_allocation,
     resolve_system,
     save_system,
     write_trace,
 )
-from .model import (
-    DefenseAllocation,
-    InvalidAttackError,
-    System,
-    ValidationError,
-)
+from .model import InvalidAttackError, System, ValidationError
 from .paths import EnumerationLimitError
 
 DEFENDER_SPECS = (
@@ -129,26 +125,9 @@ def build_defender(spec: str, system: System) -> Defender:
     if name == "fixed":
         if not arg:
             raise ValueError("fixed defender needs a file: fixed:<alloc.json>")
-        allocation = _load_fixed_allocation(arg, system.budget)
+        allocation = load_fixed_allocation(arg, system.budget)
         return FixedDefender(lambda view: allocation, {"policy": "fixed"})
     raise ValueError(f"unknown defender {spec!r}; known: {DEFENDER_SPECS}")
-
-
-def _load_fixed_allocation(path: str, budget: float) -> DefenseAllocation:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FileFormatError("E-IO", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError("E-SYNTAX", f"{path}: not parseable JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError("E-SCHEMA", f"{path}: expected an edge-to-amount mapping")
-    for unit, amount in doc.items():
-        if isinstance(amount, bool) or not isinstance(amount, (int, float)):
-            raise FileFormatError(
-                "E-SCHEMA", f"{path}: amount for {unit!r} must be a number, got {amount!r}"
-            )
-    return DefenseAllocation({unit: float(a) for unit, a in doc.items()}, budget)
 
 
 def build_attacker(spec: str) -> Attacker:

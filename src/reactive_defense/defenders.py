@@ -305,7 +305,7 @@ def hindsight_from_usage(
     return allocation, system.budget * best_ratio
 
 
-def uniform_defense(system: System | SystemView) -> DefenseAllocation:
+def uniform_defense(system: System) -> DefenseAllocation:
     """budget / |E| on every edge."""
     if not system.edges:
         raise ValueError("system has no edges")
@@ -331,9 +331,10 @@ def myopic_defense(budget: float, surfaces: Mapping[str, float]) -> DefenseAlloc
 class Defender(ABC):
     """Per-game defender driven by the engine.
 
-    Reactive policies receive a masked ``SystemView`` (revealed edges
-    only, never rewards) and must keep allocations inside the revealed
-    set; proactive policies receive the full ``System`` once at start.
+    Reactive policies start from a ``SystemView`` (the start vertex and
+    the budget, no edges and no rewards), learn edges only from round
+    feedback and must keep allocations inside the revealed set;
+    proactive policies receive the full ``System`` once at start.
     ``last_beta`` mirrors the learning rate behind the latest committed
     allocation, for trace records.
     """
@@ -364,7 +365,7 @@ class ReactiveDefender(Defender):
     _state: HedgeState | None = None
     _pending: DefenseAllocation | None = None
 
-    def _initial_state(self, view: System | SystemView, horizon: int) -> HedgeState:
+    def _initial_state(self, view: SystemView, horizon: int) -> HedgeState:
         return HedgeState(budget=view.budget)
 
     def start(self, view: System | SystemView, horizon: int) -> None:
@@ -394,7 +395,7 @@ class KnownEdgesDefender(ReactiveDefender):
     def __init__(self, beta: float | None = None):
         self._beta = beta
 
-    def _initial_state(self, view: System | SystemView, horizon: int) -> HedgeState:
+    def _initial_state(self, view: System, horizon: int) -> HedgeState:
         surfaces = {e.id: e.surface for e in view.edges}
         if not surfaces:
             raise ValueError("system has no edges")
@@ -433,14 +434,14 @@ class FixedDefender(Defender):
 
     def __init__(
         self,
-        allocate: Callable[[System | SystemView], DefenseAllocation],
+        allocate: Callable[[System], DefenseAllocation],
         descriptor: Mapping[str, Any],
     ):
         self._allocate = allocate
         self._descriptor = dict(descriptor)
         self._allocation: DefenseAllocation | None = None
 
-    def start(self, view: System | SystemView, horizon: int) -> None:
+    def start(self, view: System, horizon: int) -> None:
         self._allocation = self._allocate(view)
 
     def commit(self, round_index: int) -> DefenseAllocation:

@@ -3,9 +3,10 @@
 Each round the defender commits an allocation first, knowing only prior
 attacks; the attacker then moves with full view of that allocation; the
 attack's edges (with surfaces) are revealed back to the defender and the
-round is recorded.  Reactive defenders never see the system itself, only
-a masked view of revealed edges, and the engine rejects any reactive
-allocation that strays outside the revealed set.
+round is recorded.  Reactive defenders never see the system itself: they
+start knowing only the start vertex and the budget, learn edges from each
+round's feedback, and the engine rejects any reactive allocation that
+strays outside the revealed set.
 
 Traces are reproducible bit-for-bit from (system, policies, rounds, seed).
 """
@@ -13,7 +14,7 @@ Traces are reproducible bit-for-bit from (system, policies, rounds, seed).
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,19 +34,6 @@ from .model import (
 
 class ReactiveContractError(RuntimeError):
     """A reactive defender allocated budget to an unrevealed edge."""
-
-
-def masked_view(system: System, revealed: Iterable[str]) -> SystemView:
-    """The defender-facing view: revealed edges with surfaces, no rewards."""
-    keep = set(revealed)
-    unknown = keep - set(system.edge_ids)
-    if unknown:
-        raise KeyError(f"unknown edges {sorted(unknown)!r}")
-    return SystemView(
-        edges=tuple(e for e in system.edges if e.id in keep),
-        start=system.start,
-        budget=system.budget,
-    )
 
 
 def round_edge_usage(attacks: Sequence[Attack]) -> dict[str, float]:
@@ -136,7 +124,8 @@ def run_game(
     rng = random.Random(seed)
     revealed: dict[str, None] = {}
     defender.start(
-        masked_view(system, revealed) if defender.reactive else system, rounds
+        SystemView(system.start, system.budget) if defender.reactive else system,
+        rounds,
     )
     attacker.start(system, rng, rounds)
     records: list[RoundRecord] = []

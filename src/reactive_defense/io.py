@@ -47,7 +47,13 @@ from .attackers import MultiAttackRound
 from .engine import GameTrace
 from .fixtures import FIXTURES, fixture
 from .horn import HornSystem
-from .model import Attack, System, cumulative_roa, ensure_valid_system
+from .model import (
+    Attack,
+    DefenseAllocation,
+    System,
+    cumulative_roa,
+    ensure_valid_system,
+)
 
 SYSTEM_FORMAT_VERSION = 1
 TRACE_FORMAT_VERSION = 1
@@ -427,8 +433,9 @@ def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRoun
     return tuple(moves)
 
 
-def load_summary(path: str | PathLike) -> dict:
-    """Summary document, after checking its trace format version."""
+def _load_json_mapping(path: str | PathLike) -> dict:
+    """Top-level mapping of a JSON file: E-IO if unreadable, E-SYNTAX if
+    not JSON, E-SCHEMA if not a mapping."""
     text = _read_text(path)
     try:
         doc = json.loads(text)
@@ -436,6 +443,12 @@ def load_summary(path: str | PathLike) -> dict:
         raise FileFormatError("E-SYNTAX", f"{path}: not parseable JSON ({exc})") from exc
     if not isinstance(doc, dict):
         _schema(str(path), "expected a mapping at top level")
+    return doc
+
+
+def load_summary(path: str | PathLike) -> dict:
+    """Summary document, after checking its trace format version."""
+    doc = _load_json_mapping(path)
     version = doc.get("trace_format_version")
     if version != TRACE_FORMAT_VERSION:
         _schema(
@@ -447,13 +460,7 @@ def load_summary(path: str | PathLike) -> dict:
 
 def load_allocations(path: str | PathLike) -> dict[int, dict[str, float]]:
     """Per-round allocations from an allocations.json file."""
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError("E-SYNTAX", f"{path}: not parseable JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        _schema(str(path), "expected a mapping at top level")
+    doc = _load_json_mapping(path)
     out: dict[int, dict[str, float]] = {}
     for key, mapping in doc.items():
         try:
@@ -467,6 +474,16 @@ def load_allocations(path: str | PathLike) -> dict[int, dict[str, float]]:
             for unit, amount in mapping.items()
         }
     return out
+
+
+def load_fixed_allocation(path: str | PathLike, budget: float) -> DefenseAllocation:
+    """One allocation from an edge-to-amount JSON file, checked against
+    ``budget`` (infeasible or NaN amounts raise ``ValueError``)."""
+    doc = _load_json_mapping(path)
+    return DefenseAllocation(
+        {unit: _number(amount, f"edge {unit}", str(path)) for unit, amount in doc.items()},
+        budget,
+    )
 
 
 # ---------------------------------------------------------------------------

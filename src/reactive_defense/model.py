@@ -151,30 +151,11 @@ class System:
 
 @dataclass(frozen=True)
 class SystemView:
-    """Partial view of a system: edges with endpoints and surfaces, no rewards.
+    """What a reactive defender sees at start: the start vertex and the
+    budget, never edges or rewards; edges arrive only as round feedback."""
 
-    This is what a reactive defender is allowed to see.  Absence of an edge
-    is signaled by ``surface`` returning ``None``, never by an exception.
-    """
-
-    edges: tuple[Edge, ...]
     start: str
     budget: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "_edge_map", {e.id: e for e in self.edges})
-
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
-
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._edge_map
-
-    def surface(self, edge_id: str) -> float | None:
-        e = self._edge_map.get(edge_id)
-        return None if e is None else e.surface
 
 
 @dataclass(frozen=True)
@@ -207,12 +188,12 @@ class DefenseAllocation:
 
     def __post_init__(self):
         object.__setattr__(self, "alloc", MappingProxyType(dict(self.alloc)))
-        if self.budget <= 0:
+        if not self.budget > 0:
             raise ValueError(f"budget must be positive, got {self.budget}")
         total = 0.0
         for unit, amount in self.alloc.items():
-            if amount < 0:
-                raise ValueError(f"negative allocation {amount} on {unit!r}")
+            if not amount >= 0:
+                raise ValueError(f"negative or NaN allocation {amount} on {unit!r}")
             total += amount
         if total > self.budget * (1.0 + FEASIBILITY_RTOL):
             raise ValueError(

@@ -38,21 +38,24 @@ def enumerate_attacks(system: System, limit: int = DEFAULT_ENUMERATION_LIMIT) ->
     found: list[Attack] = []
     prefix: list[str] = []
     used: set[str] = set()
-
-    def extend(vertex: str) -> None:
-        for e in system.out_edges(vertex):
-            if e.id in used:
-                continue
-            prefix.append(e.id)
-            used.add(e.id)
-            if len(found) >= limit:
-                raise EnumerationLimitError(limit)
-            found.append(Attack(tuple(prefix)))
-            extend(e.dst)
-            used.discard(e.id)
-            prefix.pop()
-
-    extend(system.start)
+    # One iterator over sorted out-edges per vertex on the current walk; an
+    # explicit stack keeps deep systems clear of the recursion limit.
+    stack = [iter(system.out_edges(system.start))]
+    while stack:
+        for e in stack[-1]:
+            if e.id not in used:
+                break
+        else:
+            stack.pop()
+            if prefix:
+                used.discard(prefix.pop())
+            continue
+        if len(found) >= limit:
+            raise EnumerationLimitError(limit)
+        prefix.append(e.id)
+        used.add(e.id)
+        found.append(Attack(tuple(prefix)))
+        stack.append(iter(system.out_edges(e.dst)))
     return found
 
 

@@ -18,43 +18,49 @@ import pytest
 
 from conftest import attack_sequence, sample_systems, uniform_defender
 from reactive_defense import (
-    Attack,
     BestResponseAttacker,
-    DefenseAllocation,
-    FixedDefender,
-    HedgeState,
+    ReactiveDefender,
+    fixture,
+    profit_regret,
+    run_game,
+)
+from reactive_defense.analysis import (
+    exact_two_edge_gap,
+    game_value,
+    lower_bound_experiment,
+    roa_ratio,
+    roa_threshold_rounds,
+)
+from reactive_defense.attackers import (
     MultiAttackRound,
     MultiAttacker,
     RandomPathAttacker,
-    ReactiveDefender,
     aggregate_multi_attack,
     best_response,
+)
+from reactive_defense.defenders import (
+    FixedDefender,
+    HedgeState,
     beta_schedule,
-    cumulative_roa,
-    exact_two_edge_gap,
-    fixture,
-    game_value,
-    graph_to_horn,
     hedge_allocation,
     hedge_update,
     hindsight_from_usage,
     horizon_beta,
-    horn_cost,
-    horn_payoff,
-    lower_bound_experiment,
     mincut_perimeter_defense,
     minimax_proactive_defense,
-    profit_regret,
     reactive_hidden_step,
+)
+from reactive_defense.horn import graph_to_horn, horn_cost, horn_payoff, validate_proof
+from reactive_defense.model import (
+    Attack,
+    DefenseAllocation,
+    cost,
+    cumulative_roa,
+    payoff,
     restrict_edges,
     roa,
-    roa_ratio,
-    roa_threshold_rounds,
-    run_game,
-    validate_proof,
 )
 from reactive_defense.generators import random_system
-from reactive_defense.model import cost, payoff
 from reactive_defense.fixtures import star
 
 

@@ -10,26 +10,28 @@ import pytest
 
 from conftest import uniform_defender
 from reactive_defense import (
-    Attack,
-    Attacker,
     BestResponseAttacker,
-    FixedDefender,
-    FixedSequenceAttacker,
-    RandomPathAttacker,
     ReactiveDefender,
-    System,
-    exact_two_edge_gap,
     fixture,
+    profit_regret,
+    run_game,
+)
+from reactive_defense.analysis import (
+    exact_two_edge_gap,
     game_value,
     lower_bound_experiment,
-    profit_regret,
-    random_parallel_attack,
     regret_curve,
     roa_ratio,
     roa_threshold_rounds,
-    run_game,
-    zero_allocation,
 )
+from reactive_defense.attackers import (
+    Attacker,
+    FixedSequenceAttacker,
+    RandomPathAttacker,
+    random_parallel_attack,
+)
+from reactive_defense.defenders import FixedDefender
+from reactive_defense.model import Attack, System, zero_allocation
 
 
 def _unit_beta(num_edges: int, round_index: int) -> float:
@@ -61,6 +63,22 @@ def test_profit_regret_hand_case():
     assert report.inputs["num_edges"] == 2
     assert report.inputs["rounds"] == 4
     assert report.as_dict()["satisfied"] is True
+
+    # |E| counts every system edge, revealed or not: attacking only b0 of
+    # the four-leaf star still gives ln 4 and mean(1/w) over four edges
+    star = fixture("fig3_n4")
+    moves = [Attack(("b0",))] * 3
+    trace = run_game(star, ReactiveDefender(), FixedSequenceAttacker(moves), rounds=3)
+    report = profit_regret(trace)
+    mean_inverse = sum(1.0 / e.surface for e in star.edges) / 4.0
+    assert report.inputs["num_edges"] == 4
+    assert report.inputs["mean_inverse_surface"] == mean_inverse
+    # round 1 is undefended, then the whole budget sits on b0
+    assert report.measured == pytest.approx((3.0 - 2.0) / 3.0, rel=1e-12)
+    assert report.bound_rhs == pytest.approx(
+        math.sqrt(math.log(4.0) / 6.0) + (math.log(4.0) + mean_inverse) / 3.0,
+        rel=1e-12,
+    )
 
 
 def test_profit_regret_frozen_ceiling():

@@ -8,22 +8,18 @@ from collections import Counter
 
 import pytest
 
-from reactive_defense import (
-    Attack,
-    BestResponseAttacker,
-    DefenseAllocation,
+from reactive_defense import BestResponseAttacker, fixture
+from reactive_defense.attackers import (
     FixedSequenceAttacker,
     MultiAttackRound,
     MultiAttacker,
     ObliviousAttacker,
     RandomPathAttacker,
-    System,
     aggregate_multi_attack,
     best_response,
-    fixture,
     random_parallel_attack,
-    zero_allocation,
 )
+from reactive_defense.model import Attack, DefenseAllocation, System, zero_allocation
 
 
 def test_best_response_roa_free_edges_dominate():

@@ -12,7 +12,8 @@ import pytest
 import yaml
 
 import reactive_defense
-from reactive_defense import fixture, load_system
+from reactive_defense import fixture
+from reactive_defense.io import load_system
 from reactive_defense.cli import build_attacker, build_defender, main
 from reactive_defense.attackers import (
     BestResponseAttacker,
@@ -165,6 +166,56 @@ def test_simulate_input_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "Horn-clause" in err
+
+
+def test_simulate_rejects_nan_fixed_allocation(tmp_path, capsys):
+    alloc = tmp_path / "nan.json"
+    alloc.write_text('{"left": NaN}')
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--system",
+        "fig2",
+        "--defender",
+        f"fixed:{alloc}",
+        "-T",
+        "3",
+        "--out",
+        str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "NaN" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_on_chain_deeper_than_recursion_limit(tmp_path, capsys):
+    depth = sys.getrecursionlimit() + 200
+    doc = {
+        "format_version": 1,
+        "start": "v0",
+        "budget": 1.0,
+        "rewards": {f"v{depth}": 1.0},
+        "edges": [
+            {"id": f"e{i}", "src": f"v{i}", "dst": f"v{i + 1}", "surface": 1.0}
+            for i in range(depth)
+        ],
+    }
+    chain = tmp_path / "chain.yaml"
+    chain.write_text(yaml.safe_dump(doc))
+    code, stdout, err = run_cli(
+        capsys,
+        "simulate",
+        "--system",
+        str(chain),
+        "--attacker",
+        "random",
+        "-T",
+        "2",
+        "--out",
+        str(tmp_path / "run"),
+    )
+    assert code == 0, err
+    assert "rounds 2" in stdout
 
 
 def test_minimax_command(capsys):

@@ -10,18 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import attack_sequence, sample_systems
-from reactive_defense import (
-    Attack,
-    BestResponseAttacker,
-    DefenseAllocation,
+from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
+from reactive_defense.defenders import (
     FixedDefender,
     HedgeState,
     KnownEdgesDefender,
     MyopicDefender,
-    ReactiveDefender,
-    System,
     beta_schedule,
-    fixture,
     hedge_allocation,
     hedge_update,
     hindsight_from_usage,
@@ -30,9 +25,13 @@ from reactive_defense import (
     minimax_proactive_defense,
     myopic_defense,
     reactive_hidden_step,
-    roa,
-    run_game,
     uniform_defense,
+)
+from reactive_defense.model import (
+    Attack,
+    DefenseAllocation,
+    System,
+    roa,
     zero_allocation,
 )
 from reactive_defense.generators import random_system

@@ -9,43 +9,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_systems, uniform_defender
-from reactive_defense import (
-    Attack,
+from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
+from reactive_defense.attackers import (
     Attacker,
-    BestResponseAttacker,
-    Defender,
-    DefenseAllocation,
-    FixedDefender,
     FixedSequenceAttacker,
-    GameTrace,
     MultiAttackRound,
     MultiAttacker,
     RandomPathAttacker,
-    ReactiveDefender,
+)
+from reactive_defense.defenders import Defender, FixedDefender, beta_schedule
+from reactive_defense.engine import GameTrace, ReactiveContractError, round_edge_usage
+from reactive_defense.model import (
+    Attack,
+    DefenseAllocation,
+    InvalidAttackError,
     System,
-    beta_schedule,
+    ValidationError,
     cost,
-    fixture,
-    masked_view,
     payoff,
-    round_edge_usage,
-    run_game,
     zero_allocation,
 )
-from reactive_defense.engine import ReactiveContractError
-from reactive_defense.model import InvalidAttackError, ValidationError
 
 
-def test_masked_view_hides_rewards_and_unrevealed_edges():
+def test_reactive_start_view_has_budget_but_no_edges_or_rewards():
+    views = []
+
+    class Recorder(ReactiveDefender):
+        def start(self, view, horizon):
+            views.append(view)
+            super().start(view, horizon)
+
     system = fixture("fig2")
-    view = masked_view(system, ["left"])
-    assert view.edge_ids == ("left",)
-    assert view.surface("left") == 5.0
-    assert view.surface("right") is None
-    assert not hasattr(view, "rewards")
+    run_game(system, Recorder(), BestResponseAttacker("roa"), rounds=2)
+    (view,) = views
     assert view.budget == system.budget
-    with pytest.raises(KeyError):
-        masked_view(system, ["ghost"])
+    assert view.start == system.start
+    assert not hasattr(view, "rewards")
+    assert not hasattr(view, "edges")
 
 
 def test_reactive_round_one_is_undefended():

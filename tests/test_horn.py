@@ -7,25 +7,27 @@ import random
 import pytest
 
 from conftest import attack_sequence, sample_systems
-from reactive_defense import (
-    Attack,
-    DefenseAllocation,
+from reactive_defense import fixture
+from reactive_defense.horn import (
     HornSystem,
     Proof,
-    cost,
     derived_propositions,
-    ensure_valid_system,
-    fixture,
     graph_to_horn,
     horn_cost,
     horn_payoff,
-    payoff,
+    validate_horn_system,
     validate_proof,
+)
+from reactive_defense.model import (
+    Attack,
+    DefenseAllocation,
+    InvalidProofError,
+    cost,
+    ensure_valid_system,
+    payoff,
     validate_system,
     zero_allocation,
 )
-from reactive_defense.model import InvalidProofError
-from reactive_defense.horn import validate_horn_system
 
 
 def test_horn_chain_shape():

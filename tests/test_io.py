@@ -8,30 +8,24 @@ import math
 
 import pytest
 
-from reactive_defense import (
-    Attack,
-    BestResponseAttacker,
-    FixedDefender,
-    FixedSequenceAttacker,
-    MultiAttackRound,
-    ReactiveDefender,
-    fixture,
+from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
+from reactive_defense.attackers import FixedSequenceAttacker, MultiAttackRound
+from reactive_defense.defenders import FixedDefender
+from reactive_defense.io import (
+    FileFormatError,
     load_allocations,
     load_attack_sequence,
     load_config,
     load_summary,
     load_system,
     resolve_system,
-    run_game,
     save_system,
     system_from_doc,
     system_to_doc,
     write_trace,
-    zero_allocation,
 )
+from reactive_defense.model import Attack, ValidationError, zero_allocation
 from reactive_defense.fixtures import FIXTURES
-from reactive_defense.io import FileFormatError
-from reactive_defense.model import ValidationError
 
 
 def test_every_fixture_round_trips(tmp_path):

@@ -11,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import attack_sequence, sample_systems
-from reactive_defense import (
+from reactive_defense import fixture
+from reactive_defense.model import (
+    FEASIBILITY_RTOL,
     Attack,
     DefenseAllocation,
+    InvalidAttackError,
     System,
     ValidationError,
     attack_vertices,
     cost,
     cumulative_roa,
     ensure_valid_system,
-    fixture,
     is_undefined,
     payoff,
     profit,
@@ -30,7 +32,6 @@ from reactive_defense import (
     validate_system,
     zero_allocation,
 )
-from reactive_defense.model import FEASIBILITY_RTOL, InvalidAttackError
 from reactive_defense.generators import random_system
 
 
@@ -154,6 +155,10 @@ def test_allocation_feasibility():
         DefenseAllocation({"e": 1.0 + 3e-9}, budget=1.0)
     with pytest.raises(ValueError, match="budget must be positive"):
         DefenseAllocation({}, budget=0.0)
+    with pytest.raises(ValueError, match="NaN"):
+        DefenseAllocation({"e": math.nan}, budget=1.0)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        DefenseAllocation({}, budget=math.nan)
     # slack admits rounding noise but nothing more
     inside = DefenseAllocation({"e": 1.0 + 0.5 * FEASIBILITY_RTOL}, budget=1.0)
     assert inside.total() > 1.0

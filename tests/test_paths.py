@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import sample_systems
-from reactive_defense import Attack, DefenseAllocation, System, cost, fixture, payoff
+from reactive_defense import fixture
+from reactive_defense.fixtures import FIXTURES
+from reactive_defense.model import Attack, DefenseAllocation, System, cost, payoff
 from reactive_defense.paths import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
@@ -27,6 +29,43 @@ def test_enumeration_order_prefixes_first():
     )
     attacks = [a.path for a in enumerate_attacks(system)]
     assert attacks == [("a",), ("a", "c"), ("b",), ("b", "c")]
+
+
+def _recursive_enumeration(system: System, limit: int) -> list[Attack]:
+    """Order oracle: depth-first recursion over sorted out-edges."""
+    found: list[Attack] = []
+    prefix: list[str] = []
+    used: set[str] = set()
+
+    def extend(vertex: str) -> None:
+        for e in system.out_edges(vertex):
+            if e.id in used:
+                continue
+            prefix.append(e.id)
+            used.add(e.id)
+            if len(found) >= limit:
+                raise EnumerationLimitError(limit)
+            found.append(Attack(tuple(prefix)))
+            extend(e.dst)
+            used.discard(e.id)
+            prefix.pop()
+
+    extend(system.start)
+    return found
+
+
+def test_enumeration_matches_recursive_order():
+    systems = [fixture(name) for name in FIXTURES]
+    systems = [s for s in systems if isinstance(s, System)]
+    systems += [system for _, system in sample_systems(40, base_seed=7300)]
+    for system in systems:
+        expected = _recursive_enumeration(system, DEFAULT_ENUMERATION_LIMIT)
+        assert enumerate_attacks(system) == expected
+        # the cap admits exactly the count and rejects one fewer
+        assert enumerate_attacks(system, limit=len(expected)) == expected
+        if len(expected) > 1:
+            with pytest.raises(EnumerationLimitError):
+                enumerate_attacks(system, limit=len(expected) - 1)
 
 
 def test_enumeration_handles_vertex_revisits():
