@@ -3,9 +3,10 @@
 Policies see the full system and the defender's committed allocation each
 round (worst-case knowledge), except the oblivious wrapper, which only
 knows a fixed subset of edges.  Best responses are deterministic: ties in
-the objective fall to the cheaper attack, then to the lexicographically
-smallest edge-id sequence, and zero-cost positive-payoff attacks dominate
-every finite-ratio one.
+the objective (exact float equality) fall to the cheaper attack, then to
+the earlier enumeration index, which is the lexicographically smallest
+edge-id sequence; zero-cost positive-payoff attacks dominate every
+finite-ratio one, and the first of them wins.
 """
 
 from __future__ import annotations
@@ -84,18 +85,38 @@ def select_best_response(
     pays = pathset.payoffs
     if objective == "profit":
         values = pays - costs
-        i = int(np.lexsort((pathset.lex_rank, costs, -values))[0])
+        i = _first_best(values, costs)
         return BestResponse(pathset.attacks[i], float(values[i]))
     free = (pays > 0) & (costs == 0.0)
+    i = int(free.argmax())
+    if free[i]:
+        return BestResponse(pathset.attacks[i], math.inf)
     finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
-    i = int(np.lexsort((pathset.lex_rank, costs, -finite, ~free))[0])
+    i = _first_best(finite, costs)
     if pays[i] > 0:
-        value = math.inf if free[i] else float(finite[i])
-        return BestResponse(pathset.attacks[i], value)
+        return BestResponse(pathset.attacks[i], float(finite[i]))
     # Nothing has positive payoff; fall back to a maximum-payoff attack
     # (all zero here) and flag the ratio as undefined.
-    i = int(np.lexsort((pathset.lex_rank, costs, -pays))[0])
+    i = _first_best(pays, costs)
     return BestResponse(pathset.attacks[i], math.nan, undefined=True)
+
+
+def _first_best(values: np.ndarray, costs: np.ndarray) -> int:
+    """Index of the largest value, ties to the lowest cost, then to the
+    lowest index (enumeration order is lexicographic edge-id order)."""
+    top = _maximizers(values)
+    if len(top) > 1:
+        top = top[_maximizers(-costs[top])]
+    return int(top[0])
+
+
+def _maximizers(keys: np.ndarray) -> np.ndarray:
+    """Indices of the largest key under exact float equality.  NaN ranks
+    below every number, as in an ascending sort of the negated keys."""
+    best = np.fmax.reduce(keys)
+    if best != best:
+        return np.arange(len(keys))
+    return np.flatnonzero(keys == best)
 
 
 def random_parallel_attack(system: System, rng: random.Random) -> Attack:

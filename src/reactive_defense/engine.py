@@ -8,6 +8,12 @@ start knowing only the start vertex and the budget, learn edges from each
 round's feedback, and the engine rejects any reactive allocation that
 strays outside the revealed set.
 
+Each distinct attack path is validated and its payoff computed the first
+time it is played in a game; later rounds look the payoff up in a
+per-game dict keyed by path and only price the attack under the round's
+allocation.  An invalid path is never stored, so it is rejected whenever
+it is played.
+
 Traces are reproducible bit-for-bit from (system, policies, rounds, seed).
 """
 
@@ -25,7 +31,7 @@ from .model import (
     DefenseAllocation,
     System,
     SystemView,
-    cost,
+    _cost,
     ensure_valid_system,
     payoff,
     validate_attack,
@@ -129,6 +135,7 @@ def run_game(
     )
     attacker.start(system, rng, rounds)
     records: list[RoundRecord] = []
+    payoffs: dict[tuple[str, ...], float] = {}
     for t in range(1, rounds + 1):
         allocation = defender.commit(t)
         beta = defender.last_beta
@@ -141,7 +148,9 @@ def run_game(
         move = attacker.attack(allocation, t)
         attacks = move.attacks if isinstance(move, MultiAttackRound) else (move,)
         for a in attacks:
-            validate_attack(system, a, require_nonempty=True)
+            if a.path not in payoffs:
+                validate_attack(system, a, require_nonempty=True)
+                payoffs[a.path] = payoff(system, a)
         newly: list[str] = []
         surfaces: dict[str, float] = {}
         for a in attacks:
@@ -151,8 +160,8 @@ def run_game(
                     newly.append(eid)
                 if eid not in surfaces:
                     surfaces[eid] = system.surface(eid)
-        round_costs = [cost(system, a, allocation) for a in attacks]
-        round_payoffs = [payoff(system, a) for a in attacks]
+        round_costs = [_cost(system, a, allocation) for a in attacks]
+        round_payoffs = [payoffs[a.path] for a in attacks]
         feedback = RoundFeedback(
             round_index=t,
             attacks=attacks,

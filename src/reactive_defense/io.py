@@ -129,7 +129,7 @@ def _write_text(path: str | PathLike, text: str) -> None:
 def _parse_yaml(text: str, source: str):
     try:
         return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise FileFormatError("E-SYNTAX", f"{source}: not parseable YAML ({exc})") from exc
 
 
@@ -439,7 +439,7 @@ def _load_json_mapping(path: str | PathLike) -> dict:
     text = _read_text(path)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FileFormatError("E-SYNTAX", f"{path}: not parseable JSON ({exc})") from exc
     if not isinstance(doc, dict):
         _schema(str(path), "expected a mapping at top level")

@@ -337,6 +337,11 @@ def payoff(system: System, attack: Attack) -> float:
 def cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
     """Sum of allocated defense divided by surface along the path."""
     validate_attack(system, attack)
+    return _cost(system, attack, allocation)
+
+
+def _cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
+    """``cost`` for an attack already known to be valid on ``system``."""
     return sum(allocation.get(e) / system.surface(e) for e in attack.path)
 
 

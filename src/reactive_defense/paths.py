@@ -65,8 +65,8 @@ class PathSet:
 
     ``incidence[i, j]`` is 1 when path ``i`` uses edge ``j`` (system edge
     order); ``rate_rows = incidence / surface`` turns an allocation vector
-    into per-path costs.  ``lex_rank`` orders paths by edge-id sequence and
-    backs deterministic tie-breaking.
+    into per-path costs.  ``attacks`` is in enumeration order, which sorts
+    the edge-id sequences, so an index comparison is a lexicographic one.
     """
 
     system: System
@@ -74,7 +74,6 @@ class PathSet:
     payoffs: np.ndarray
     incidence: np.ndarray
     rate_rows: np.ndarray
-    lex_rank: np.ndarray
     edge_index: dict[str, int]
 
     @classmethod
@@ -89,17 +88,12 @@ class PathSet:
                 incidence[i, edge_index[eid]] = 1.0
         surfaces = np.array([e.surface for e in system.edges])
         payoffs = np.array([payoff(system, a) for a in attacks])
-        order = sorted(range(len(attacks)), key=lambda i: attacks[i].path)
-        lex_rank = np.empty(len(attacks), dtype=np.int64)
-        for rank, i in enumerate(order):
-            lex_rank[i] = rank
         return cls(
             system=system,
             attacks=attacks,
             payoffs=payoffs,
             incidence=incidence,
             rate_rows=incidence / surfaces,
-            lex_rank=lex_rank,
             edge_index=edge_index,
         )
 

@@ -7,7 +7,6 @@ wherever the claim admits one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time

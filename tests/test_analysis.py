@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
-import warnings
 
 import pytest
 

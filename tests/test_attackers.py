@@ -6,10 +6,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from reactive_defense import BestResponseAttacker, fixture
+from conftest import sample_systems
+from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import (
+    BestResponse,
     FixedSequenceAttacker,
     MultiAttackRound,
     MultiAttacker,
@@ -18,8 +21,13 @@ from reactive_defense.attackers import (
     aggregate_multi_attack,
     best_response,
     random_parallel_attack,
+    select_best_response,
 )
+from reactive_defense.defenders import uniform_defense
+from reactive_defense.fixtures import star
+from reactive_defense.generators import random_system
 from reactive_defense.model import Attack, DefenseAllocation, System, zero_allocation
+from reactive_defense.paths import PathSet
 
 
 def test_best_response_roa_free_edges_dominate():
@@ -87,6 +95,138 @@ def test_best_response_is_deterministic():
     alloc = DefenseAllocation({f"b{i}": 0.125 for i in range(8)}, 1.0)
     picks = {best_response(system, alloc, "roa").attack.path for _ in range(5)}
     assert len(picks) == 1
+
+
+def _lexsort_best_response(
+    pathset: PathSet, allocation: DefenseAllocation, objective: str
+) -> BestResponse:
+    """Order oracle: a full lexsort over (rank of the edge-id sequence,
+    cost, objective), with the rank computed by sorting the paths."""
+    costs = pathset.costs(allocation)
+    pays = pathset.payoffs
+    order = sorted(range(len(pathset.attacks)), key=lambda i: pathset.attacks[i].path)
+    lex_rank = np.empty(len(order), dtype=np.int64)
+    lex_rank[order] = np.arange(len(order))
+    if objective == "profit":
+        values = pays - costs
+        i = int(np.lexsort((lex_rank, costs, -values))[0])
+        return BestResponse(pathset.attacks[i], float(values[i]))
+    free = (pays > 0) & (costs == 0.0)
+    finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
+    i = int(np.lexsort((lex_rank, costs, -finite, ~free))[0])
+    if pays[i] > 0:
+        return BestResponse(pathset.attacks[i], math.inf if free[i] else float(finite[i]))
+    i = int(np.lexsort((lex_rank, costs, -pays))[0])
+    return BestResponse(pathset.attacks[i], math.nan, undefined=True)
+
+
+def _criterion_systems() -> list[tuple[int, System]]:
+    """Every system criteria 1-8 play or query, with a seed for each."""
+    systems = []
+    for count, base_seed in ((100, 100), (50, 20_000), (20, 40_000)):
+        systems += sample_systems(count, base_seed=base_seed, max_paths=500)
+    systems += sample_systems(20, base_seed=60_000, max_extra_edges=9)
+    systems += sample_systems(100, base_seed=70_000, max_extra_edges=11)
+    seed = 80_000
+    while sum(1 for s, _ in systems if s > 80_000) < 20:
+        seed += 1
+        system = random_system(random.Random(seed))
+        if 1 <= len(system.start_edges()) <= 4:
+            systems.append((seed, system))
+    systems += [(0, fixture(name)) for name in ("fig2", "fig3_n4", "fig4")]
+    systems += [(0, star(leaves=n)) for n in (2, 4, 8)]
+    return systems
+
+
+def _allocations(system: System, seed: int, rounds: int) -> list[DefenseAllocation]:
+    """Zero, uniform, seeded random and reactive-game allocations."""
+    allocations = [zero_allocation(system.budget), uniform_defense(system)]
+    rng = random.Random(seed)
+    for _ in range(3):
+        amounts = {e.id: rng.choice((0.0, rng.random())) for e in system.edges}
+        total = sum(amounts.values())
+        if total > 0:
+            scale = system.budget * rng.random() / total
+            allocations.append(
+                DefenseAllocation({k: v * scale for k, v in amounts.items()}, system.budget)
+            )
+    for objective in ("roa", "profit"):
+        trace = run_game(
+            system, ReactiveDefender(), BestResponseAttacker(objective), rounds, seed
+        )
+        allocations += [record.allocation for record in trace.records]
+    return allocations
+
+
+def _assert_same_pick(pathset, allocation, objective) -> BestResponse:
+    want = _lexsort_best_response(pathset, allocation, objective)
+    got = select_best_response(pathset, allocation, objective)
+    assert got.attack == want.attack
+    assert got.undefined == want.undefined
+    assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value))
+    return got
+
+
+def test_selection_matches_lexsort_order():
+    systems = _criterion_systems()
+    assert len(systems) == 316
+    for seed, system in systems:
+        pathset = PathSet.enumerate(system)
+        for allocation in _allocations(system, seed, rounds=12):
+            for objective in ("roa", "profit"):
+                _assert_same_pick(pathset, allocation, objective)
+    # the baseline benchmark system: 3727 attacks, exact ties all game long
+    system = random_system(random.Random(26), max_extra_edges=30, max_vertices=10)
+    pathset = PathSet.enumerate(system)
+    for allocation in _allocations(system, 26, rounds=100):
+        for objective in ("roa", "profit"):
+            _assert_same_pick(pathset, allocation, objective)
+
+
+def test_selection_tie_branches_match_lexsort_order():
+    fig2 = PathSet.enumerate(fixture("fig2"))
+    # free: every attack costs nothing, and the first free one wins
+    pick = _assert_same_pick(fig2, zero_allocation(10.0), "roa")
+    assert (pick.attack.path, pick.value) == (("left",), math.inf)
+
+    # undefined: nothing pays, so the cheapest zero-payoff attack is flagged
+    barren = System.build(edges=[("e1", "s", "a", 1.0), ("e2", "a", "b", 1.0)])
+    pick = _assert_same_pick(PathSet.enumerate(barren), zero_allocation(1.0), "roa")
+    assert pick.undefined and pick.attack.path == ("e1",)
+
+    # cost-decided tie: both attacks return exactly 1.0, the cheaper wins
+    split = DefenseAllocation({"left": 5.0, "right": 5.0}, 10.0)
+    costs = fig2.costs(split)
+    assert list(fig2.payoffs / costs) == [1.0, 1.0] and costs[0] < costs[1]
+    pick = _assert_same_pick(fig2, split, "roa")
+    assert pick.attack.path == ("left",)
+
+    # index-decided exact tie: equal return and equal cost on every leaf;
+    # edges are declared in reverse, so the pick is by edge id, not by row
+    system = System.build(
+        edges=[(f"b{i}", "s", f"v{i}", 2.0) for i in reversed(range(4))],
+        rewards={f"v{i}": 3.0 for i in range(4)},
+        budget=2.0,
+    )
+    pathset = PathSet.enumerate(system)
+    even = uniform_defense(system)
+    assert len(set(pathset.costs(even))) == 1 and len(set(pathset.payoffs)) == 1
+    for objective in ("roa", "profit"):
+        pick = _assert_same_pick(pathset, even, objective)
+        assert pick.attack.path == ("b0",)
+
+    # a subnormal surface is valid, but its rate is inf and inf * 0 is NaN:
+    # NaN keys rank last, and a column that is NaN everywhere ties
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in (
+            [("a", "s", "x", 1e-310), ("b", "s", "y", 1.0), ("c", "x", "y", 1.0)],
+            [("a", "s", "x", 1e-310)],
+        ):
+            system = System.build(edges=rows, rewards={"x": 1.0, "y": 2.0})
+            pathset = PathSet.enumerate(system)
+            assert math.isnan(pathset.costs(zero_allocation(1.0))[0])
+            for objective in ("roa", "profit"):
+                _assert_same_pick(pathset, zero_allocation(1.0), objective)
 
 
 def test_random_parallel_attack():

@@ -188,6 +188,26 @@ def test_simulate_rejects_nan_fixed_allocation(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_rejects_deeply_nested_fixed_allocation(tmp_path, capsys):
+    alloc = tmp_path / "deep.json"
+    alloc.write_text("[" * 100_000)
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--system",
+        "fig2",
+        "--defender",
+        f"fixed:{alloc}",
+        "-T",
+        "2",
+        "--out",
+        str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "E-SYNTAX" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_on_chain_deeper_than_recursion_limit(tmp_path, capsys):
     depth = sys.getrecursionlimit() + 200
     doc = {
@@ -357,6 +377,16 @@ def test_verify_bounds_config_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify-bounds", "--config", str(config))
     assert code == 2
     assert "E-CONFIG" in err
+
+
+def test_verify_bounds_rejects_deeply_nested_config(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    depth = 3000
+    with config.open("a") as fh:
+        fh.write("name: " + "[" * depth + "x" + "]" * depth + "\n")
+    code, _, err = run_cli(capsys, "verify-bounds", "--config", str(config))
+    assert code == 2
+    assert "E-SYNTAX" in err
 
 
 def test_build_defender_specs(tmp_path):

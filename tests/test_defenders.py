@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attack_sequence, sample_systems
+from conftest import attack_sequence
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.defenders import (
     FixedDefender,
@@ -29,7 +29,6 @@ from reactive_defense.defenders import (
 )
 from reactive_defense.model import (
     Attack,
-    DefenseAllocation,
     System,
     roa,
     zero_allocation,

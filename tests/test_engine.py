@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +25,7 @@ from reactive_defense.model import (
     ValidationError,
     cost,
     payoff,
+    validate_attack,
     zero_allocation,
 )
 
@@ -137,14 +136,27 @@ def test_trace_is_seed_deterministic():
 
 
 def test_records_recompute_from_snapshots():
-    for seed, system in sample_systems(6, base_seed=9200):
-        trace = run_game(
-            system, ReactiveDefender(), RandomPathAttacker(), rounds=15, seed=seed
+    def population():
+        return MultiAttacker(
+            [
+                BestResponseAttacker("roa"),
+                BestResponseAttacker("profit"),
+                RandomPathAttacker(),
+                RandomPathAttacker(),
+            ]
         )
-        for record in trace.records:
-            (attack,) = record.attacks
-            assert record.cost == cost(system, attack, record.allocation)
-            assert record.payoff == payoff(system, attack)
+
+    for seed, system in sample_systems(6, base_seed=9200):
+        for attacker in (RandomPathAttacker(), population()):
+            trace = run_game(system, ReactiveDefender(), attacker, rounds=15, seed=seed)
+            played = [a.path for record in trace.records for a in record.attacks]
+            # paths recur, so later rounds take their payoff from the cache
+            assert len(set(played)) < len(played)
+            for record in trace.records:
+                costs = [cost(system, a, record.allocation) for a in record.attacks]
+                payoffs = [payoff(system, a) for a in record.attacks]
+                assert record.cost == sum(costs) / len(costs)
+                assert record.payoff == sum(payoffs) / len(payoffs)
 
 
 def test_population_round_logs_means():
@@ -251,6 +263,20 @@ def test_engine_rejects_invalid_attacks():
 
     with pytest.raises(InvalidAttackError, match="starts at"):
         run_game(fixture("fig2"), uniform_defender(), Teleporter(), rounds=1)
+
+
+def test_engine_rejects_invalid_attacks_after_valid_rounds():
+    system = fixture("fig2")
+    left, deep = Attack(("left",)), Attack(("left", "right"))
+    for bad in (Attack(("right",)), Attack(()), Attack(("ghost",)), Attack(("left", "left"))):
+        with pytest.raises(InvalidAttackError) as expected:
+            validate_attack(system, bad, require_nonempty=True)
+        for last in (bad, MultiAttackRound((left, bad))):
+            replay = FixedSequenceAttacker([left, deep, left, last])
+            run_game(system, uniform_defender(), replay, rounds=3)
+            with pytest.raises(InvalidAttackError) as raised:
+                run_game(system, uniform_defender(), replay, rounds=4)
+            assert str(raised.value) == str(expected.value)
 
 
 def test_trace_carries_descriptors():

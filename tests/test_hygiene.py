@@ -1,0 +1,68 @@
+"""Source hygiene: no module imports a name it never uses."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """String entries of a module-level ``__all__`` list or tuple."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            names.update(
+                element.value
+                for element in ast.walk(node.value)
+                if isinstance(element, ast.Constant) and isinstance(element.value, str)
+            )
+    return names
+
+
+def unused_imports(source: str, filename: str = "<source>") -> list[tuple[int, str]]:
+    """(line, name) for every imported name the module never references.
+
+    ``import a.b`` binds ``a``; ``__future__`` and star imports are skipped;
+    names listed in ``__all__`` count as used.
+    """
+    tree = ast.parse(source, filename)
+    bound: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.append((node.lineno, alias.asname or alias.name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported(tree)
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_unused_import_scan_on_known_cases():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import inf, pi\n"
+        "from typing import Any\n"
+        "__all__ = ['pi']\n"
+        "def f(x: Any) -> float:\n"
+        "    return os.path.sep, inf\n"
+    )
+    assert unused_imports(source) == [(3, "js")]
+
+
+def test_no_unused_imports_in_src_or_tests():
+    found = []
+    for folder in ("src", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for line, name in unused_imports(path.read_text(encoding="utf-8"), str(path)):
+                found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, "unused imports:\n" + "\n".join(found)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attack_sequence, sample_systems
+from conftest import attack_sequence
 from reactive_defense import fixture
 from reactive_defense.model import (
     FEASIBILITY_RTOL,
