@@ -19,11 +19,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from statistics import fmean
 
-from .attackers import random_parallel_attack
-from .defenders import HedgeState, hindsight_from_usage, reactive_hidden_step
+from .attackers import star_edges
+from .defenders import HedgeLearner, hindsight_from_usage, reactive_hidden_step
 from .engine import GameTrace, round_edge_usage
 from .fixtures import two_parallel_edges
-from .model import DefenseAllocation, System, zero_allocation
+from .model import DefenseAllocation, System
 
 # Reported ceilings tolerate this much measurement slack.
 BOUND_SLACK = 1e-9
@@ -223,23 +223,24 @@ def lower_bound_experiment(
     if num_seeds < 1:
         raise ValueError(f"need at least one seed, got {num_seeds}")
     system = two_parallel_edges()
-    surfaces = {e.id: e.surface for e in system.edges}
+    # random_parallel_attack's draws; the learner keeps neither round map
+    draws = [(e.id, e.surface, {e.id: 1.0}, {e.id: e.surface}) for e in star_edges(system)]
     played_costs: list[float] = []
     hindsight_costs: list[float] = []
     for k in range(num_seeds):
         rng = random.Random(base_seed + k)
-        state = HedgeState(budget=system.budget)
-        allocation = zero_allocation(system.budget)
+        learner = HedgeLearner(system.budget)
+        shares: list[float] = []
         usage: dict[str, float] = {}
         total_cost = 0.0
         for _ in range(rounds):
-            attack = random_parallel_attack(system, rng)
-            eid = attack.path[0]
-            total_cost += allocation.get(eid) / surfaces[eid]
+            eid, w, hits, surfaces = rng.choice(draws)
+            # priced from the shares committed before; unrevealed is undefended
+            position = learner.index.get(eid)
+            if position is not None:
+                total_cost += shares[position] / w
             usage[eid] = usage.get(eid, 0.0) + 1.0
-            state, allocation = reactive_hidden_step(
-                state, {eid: 1.0}, {eid: surfaces[eid]}
-            )
+            shares = reactive_hidden_step(learner, hits, surfaces)
         _, best_cost = hindsight_from_usage(system, usage)
         played_costs.append(total_cost)
         hindsight_costs.append(best_cost)

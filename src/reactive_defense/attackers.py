@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .model import Attack, DefenseAllocation, System, restrict_edges
+from .model import Attack, DefenseAllocation, Edge, System, restrict_edges
 from .paths import PathSet
 
 OBJECTIVES = ("roa", "profit")
@@ -121,6 +121,11 @@ def _maximizers(keys: np.ndarray) -> np.ndarray:
 
 def random_parallel_attack(system: System, rng: random.Random) -> Attack:
     """Single-edge attack drawn uniformly over a star of start-rooted edges."""
+    return Attack((rng.choice(star_edges(system)).id,))
+
+
+def star_edges(system: System) -> list[Edge]:
+    """A star system's edges, all leaving the start vertex, sorted by id."""
     if not system.edges:
         raise ValueError("system has no edges")
     for e in system.edges:
@@ -128,8 +133,7 @@ def random_parallel_attack(system: System, rng: random.Random) -> Attack:
             raise ValueError(
                 "random_parallel_attack requires every edge to leave the start vertex"
             )
-    edges = sorted(system.edges, key=lambda e: e.id)
-    return Attack((rng.choice(edges).id,))
+    return sorted(system.edges, key=lambda e: e.id)
 
 
 # ---------------------------------------------------------------------------

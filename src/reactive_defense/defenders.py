@@ -1,12 +1,12 @@
 """Defender strategies for repeated attack-defense games.
 
-One multiplicative-weights (Hedge) learner forms the core (Freund and
-Schapire 1997): over an ordered edge domain it allocates
-``B * softmax(score * ln beta)``, and each attack lowers an attacked
-edge's score by its weight over the edge's surface.  The reactive
-defender starts it with an empty domain that attacks grow, at an
-annealed rate; the known-edges defender starts it with every edge, at a
-fixed rate.
+One mutable multiplicative-weights (Hedge) learner forms the core
+(Freund and Schapire 1997): ``HedgeLearner`` keeps an edge domain in
+reveal order and splits the budget B as ``B * softmax(score * ln beta)``;
+``reactive_hidden_step`` feeds it a round, lowering each attacked edge's
+score by its weight over the edge's surface.  The reactive defender
+starts it with an empty domain that attacks grow, at an annealed rate;
+the known-edges defender starts it with every edge, at a fixed rate.
 
 Proactive alternatives live alongside it: minimum-cut perimeter defense,
 minimax allocations for the return-on-attack and profit objectives, the
@@ -19,11 +19,10 @@ import math
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import DefenseAllocation, System, SystemView, zero_allocation
 from .paths import DEFAULT_ENUMERATION_LIMIT, PathSet
@@ -39,7 +38,11 @@ def beta_schedule(num_units: int, round_index: int) -> float:
         raise ValueError(f"need at least one unit, got {num_units}")
     if round_index < 1:
         raise ValueError(f"round index starts at 1, got {round_index}")
-    return 1.0 / (1.0 + math.sqrt(2.0 * math.log(num_units) / (round_index + 1.0)))
+    return _annealed_beta(math.log(num_units), round_index)
+
+
+def _annealed_beta(log_units: float, round_index: int) -> float:
+    return 1.0 / (1.0 + math.sqrt(2.0 * log_units / (round_index + 1.0)))
 
 
 def horizon_beta(num_units: int, horizon: int) -> float:
@@ -55,70 +58,91 @@ def horizon_beta(num_units: int, horizon: int) -> float:
 # Hedge learner core
 
 
-@dataclass(frozen=True)
-class HedgeState:
-    """Hedge state: ``surfaces`` is the ordered domain, ``scores`` each
-    edge's cumulative exponent (missing means 0), and ``fixed_beta`` pins
-    the rate (None anneals it with ``beta_schedule``)."""
+class HedgeLearner:
+    """Mutable Hedge state.  ``index`` maps the domain's edge ids, in
+    reveal order, to positions in ``surfaces`` and ``scores`` (cumulative
+    exponents, 0 on reveal); ``fixed_beta`` pins the rate, and None
+    anneals it with ``beta_schedule`` over the domain size."""
 
-    budget: float
-    surfaces: Mapping[str, float] = field(default_factory=dict)
-    scores: Mapping[str, float] = field(default_factory=dict)
-    round_index: int = 0
-    fixed_beta: float | None = None
+    def __init__(
+        self,
+        budget: float,
+        surfaces: Mapping[str, float] | None = None,
+        fixed_beta: float | None = None,
+    ):
+        self.budget = budget
+        self.fixed_beta = fixed_beta
+        self.index: dict[str, int] = {}
+        self.surfaces: list[float] = []
+        self.scores: list[float] = []
+        self.round_index = 0
+        self._log_size = 0.0
+        self._reveal(surfaces or {})
+
+    def _reveal(self, surfaces: Mapping[str, float]) -> None:
+        # Callers pass only edges that are new to the domain.
+        for eid, w in surfaces.items():
+            self.index[eid] = len(self.scores)
+            self.surfaces.append(w)
+            self.scores.append(0.0)
+        if self.scores:
+            self._log_size = math.log(len(self.scores))
 
     @property
     def beta(self) -> float | None:
-        """Rate behind the current allocation; None while an annealed
+        """Rate behind the current shares; None while an annealed
         learner has an empty domain."""
         if self.fixed_beta is not None:
             return self.fixed_beta
-        if not self.surfaces:
+        if not self.scores:
             return None
-        return beta_schedule(len(self.surfaces), max(self.round_index, 1))
+        return _annealed_beta(self._log_size, max(self.round_index, 1))
 
+    def update(self, column: Mapping[str, float]) -> None:
+        """Add any real per-edge column over the domain to the scores and
+        advance the round."""
+        for eid in column:
+            if eid not in self.index:
+                raise KeyError(f"update names unknown edge {eid!r}")
+        for eid, value in column.items():
+            self.scores[self.index[eid]] += value
+        self.round_index += 1
 
-def hedge_update(state: HedgeState, column: Mapping[str, float]) -> HedgeState:
-    """Add any real per-edge column over the domain to the scores and
-    advance the round."""
-    scores = dict(state.scores)
-    for eid, value in column.items():
-        if eid not in state.surfaces:
-            raise KeyError(f"update names unknown edge {eid!r}")
-        scores[eid] = scores.get(eid, 0.0) + value
-    return HedgeState(
-        state.budget, state.surfaces, scores, state.round_index + 1, state.fixed_beta
-    )
-
-
-def hedge_allocation(state: HedgeState) -> DefenseAllocation:
-    """Budget over the domain, proportional to ``beta ** score`` (zero on
-    an empty domain); factoring out the largest exponent avoids overflow."""
-    if not state.surfaces:
-        return zero_allocation(state.budget)
-    beta = state.beta
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    log_beta = math.log(beta)
-    exponents = [state.scores.get(eid, 0.0) * log_beta for eid in state.surfaces]
-    top = max(exponents)
-    shares = [math.exp(x - top) for x in exponents]
-    z = sum(shares)
-    return DefenseAllocation(
-        {eid: state.budget * s / z for eid, s in zip(state.surfaces, shares)},
-        state.budget,
-    )
+    def shares(self) -> list[float]:
+        """Budget over the domain in domain order, proportional to
+        ``beta ** score`` (empty on an empty domain); factoring out the
+        largest exponent avoids overflow."""
+        if not self.scores:
+            return []
+        beta = self.beta
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta must be in (0, 1], got {beta}")
+        log_beta = math.log(beta)
+        # Plain loops: on these short lists they beat comprehensions.
+        exponents = []
+        for score in self.scores:
+            exponents.append(score * log_beta)
+        top = max(exponents)
+        weights = []
+        for x in exponents:
+            weights.append(math.exp(x - top))
+        z = sum(weights)
+        shares = []
+        for w in weights:
+            shares.append(self.budget * w / z)
+        return shares
 
 
 def reactive_hidden_step(
-    state: HedgeState,
+    learner: HedgeLearner,
     edge_weights: Mapping[str, float],
     surfaces: Mapping[str, float],
-) -> tuple[HedgeState, DefenseAllocation]:
-    """Consume one round's edge usage; return the state and next allocation.
+) -> list[float]:
+    """Feed one round's edge usage to ``learner``; return its next shares.
 
     ``surfaces`` must cover the attacked edges; edges outside the domain
     join it.  Each attacked edge's score drops by its usage over surface.
+    The input is checked before the learner changes.
     """
     if not edge_weights:
         raise ValueError("round contained no attacked edges")
@@ -130,18 +154,18 @@ def reactive_hidden_step(
         if eid not in surfaces:
             raise ValueError(f"no surface reported for attacked edge {eid!r}")
         w = surfaces[eid]
-        known = state.surfaces.get(eid)
-        if known is None:
+        position = learner.index.get(eid)
+        if position is None:
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(f"surface of {eid!r} must be positive, got {w}")
             revealed[eid] = w
-        elif w != known:
+        elif w != (known := learner.surfaces[position]):
             raise ValueError(f"edge {eid!r} re-revealed with surface {w}, previously {known}")
         column[eid] = -weight / w
     if revealed:
-        state = replace(state, surfaces={**state.surfaces, **revealed})
-    state = hedge_update(state, column)
-    return state, hedge_allocation(state)
+        learner._reveal(revealed)
+    learner.update(column)
+    return learner.shares()
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +249,9 @@ def minimax_proactive_defense(
     it minimizes the maximum of ``payoff(a) - cost(a, d)`` and zero, the
     floor reflecting that an attacker can always abstain.
     """
+    # scipy costs about half a second to import, so only this solve loads it.
+    from scipy.optimize import linprog
+
     if objective not in ("roa", "profit"):
         raise ValueError(f"unknown objective {objective!r}")
     pathset = PathSet.enumerate(system, limit)
@@ -362,25 +389,28 @@ class ReactiveDefender(Defender):
     """Learning defender over revealed edges; allocates nothing in round 1."""
 
     reactive = True
-    _state: HedgeState | None = None
+    _learner: HedgeLearner | None = None
     _pending: DefenseAllocation | None = None
 
-    def _initial_state(self, view: SystemView, horizon: int) -> HedgeState:
-        return HedgeState(budget=view.budget)
+    def _new_learner(self, view: SystemView, horizon: int) -> HedgeLearner:
+        return HedgeLearner(view.budget)
 
     def start(self, view: System | SystemView, horizon: int) -> None:
-        self._state = self._initial_state(view, horizon)
-        self._pending = hedge_allocation(self._state)
-        self.last_beta = self._state.beta
+        self._learner = self._new_learner(view, horizon)
+        self._hold(self._learner.shares())
 
     def commit(self, round_index: int) -> DefenseAllocation:
         return self._pending
 
     def observe(self, feedback) -> None:
-        self._state, self._pending = reactive_hidden_step(
-            self._state, feedback.edge_weights, feedback.surfaces
+        self._hold(
+            reactive_hidden_step(self._learner, feedback.edge_weights, feedback.surfaces)
         )
-        self.last_beta = self._state.beta
+
+    def _hold(self, shares: list[float]) -> None:
+        learner = self._learner
+        self._pending = DefenseAllocation(dict(zip(learner.index, shares)), learner.budget)
+        self.last_beta = learner.beta
 
     def describe(self) -> dict[str, Any]:
         return {"policy": "reactive-hidden", "schedule": "round-adaptive"}
@@ -395,12 +425,12 @@ class KnownEdgesDefender(ReactiveDefender):
     def __init__(self, beta: float | None = None):
         self._beta = beta
 
-    def _initial_state(self, view: System, horizon: int) -> HedgeState:
+    def _new_learner(self, view: System, horizon: int) -> HedgeLearner:
         surfaces = {e.id: e.surface for e in view.edges}
         if not surfaces:
             raise ValueError("system has no edges")
         beta = horizon_beta(len(surfaces), horizon) if self._beta is None else self._beta
-        return HedgeState(view.budget, surfaces, fixed_beta=beta)
+        return HedgeLearner(view.budget, surfaces, fixed_beta=beta)
 
     def describe(self) -> dict[str, Any]:
         return {

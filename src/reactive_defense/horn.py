@@ -17,6 +17,7 @@ from types import MappingProxyType
 
 from .model import (
     _ID_PATTERN,
+    _valid_surface,
     Attack,
     DefenseAllocation,
     InvalidProofError,
@@ -132,9 +133,9 @@ def validate_horn_system(system: HornSystem) -> list[Violation]:
                 out.append(
                     Violation("E-PROP", f"clause {c.id!r} references undeclared proposition {prop!r}")
                 )
-        if not (math.isfinite(c.surface) and c.surface > 0):
+        if not _valid_surface(c.surface):
             out.append(
-                Violation("E-SURFACE", f"clause {c.id!r} must have positive surface, got {c.surface}")
+                Violation("E-SURFACE", f"clause {c.id!r} must have positive surface with finite 1/surface, got {c.surface}")
             )
     return out
 

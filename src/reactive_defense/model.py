@@ -267,11 +267,17 @@ def validate_system(system) -> list[Violation]:
                 out.append(
                     Violation("E-ENDPOINT", f"edge {e.id!r} references undeclared vertex {endpoint!r}")
                 )
-        if not (math.isfinite(e.surface) and e.surface > 0):
+        if not _valid_surface(e.surface):
             out.append(
-                Violation("E-SURFACE", f"edge {e.id!r} must have positive surface, got {e.surface}")
+                Violation("E-SURFACE", f"edge {e.id!r} must have positive surface with finite 1/surface, got {e.surface}")
             )
     return out
+
+
+def _valid_surface(surface: float) -> bool:
+    """Positive and finite with a finite reciprocal: pricing divides by the
+    surface, and a subnormal one (1e-310) would give inf * 0 = NaN costs."""
+    return math.isfinite(surface) and surface > 0 and math.isfinite(1.0 / surface)
 
 
 def ensure_valid_system(system) -> None:

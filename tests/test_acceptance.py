@@ -39,10 +39,8 @@ from reactive_defense.attackers import (
 )
 from reactive_defense.defenders import (
     FixedDefender,
-    HedgeState,
+    HedgeLearner,
     beta_schedule,
-    hedge_allocation,
-    hedge_update,
     hindsight_from_usage,
     horizon_beta,
     mincut_perimeter_defense,
@@ -258,7 +256,7 @@ def test_criterion_07_revealed_subgraph_equivalence():
     for seed, system in sample_systems(100, base_seed=70_000, max_extra_edges=11):
         rng = random.Random(seed)
         attacks = attack_sequence(system, rng, 30)
-        state = HedgeState(budget=system.budget)
+        learner = HedgeLearner(system.budget)
         revealed: list[str] = []
         for k, attack in enumerate(attacks, start=1):
             for eid in attack.path:
@@ -266,7 +264,8 @@ def test_criterion_07_revealed_subgraph_equivalence():
                     revealed.append(eid)
             surfaces = {eid: system.surface(eid) for eid in attack.path}
             hits = {eid: 1.0 for eid in attack.path}
-            state, hidden = reactive_hidden_step(state, hits, surfaces)
+            shares = reactive_hidden_step(learner, hits, surfaces)
+            hidden = dict(zip(learner.index, shares))
 
             # Replay the prefix on the revealed subgraph by hand: each edge
             # holds beta ** score of the budget, score = -hits / surface.
@@ -279,7 +278,7 @@ def test_criterion_07_revealed_subgraph_equivalence():
             z = sum(beta**score for score in scores.values())
             for eid in revealed:
                 fresh = subgraph.budget * beta ** scores[eid] / z
-                assert hidden.get(eid) == pytest.approx(fresh, abs=1e-9), (
+                assert hidden[eid] == pytest.approx(fresh, abs=1e-9), (
                     f"seed {seed}, round {k}, edge {eid}"
                 )
         sequences += 1
@@ -345,20 +344,18 @@ def test_criterion_10_update_shift_invariance():
         system = random_system(rng, max_extra_edges=9)
         horizon = 20
         surfaces = {e.id: e.surface for e in system.edges}
-        plain = shifted = HedgeState(
-            system.budget, surfaces, fixed_beta=horizon_beta(len(surfaces), horizon)
-        )
+        beta = horizon_beta(len(surfaces), horizon)
+        plain = HedgeLearner(system.budget, surfaces, fixed_beta=beta)
+        shifted = HedgeLearner(system.budget, surfaces, fixed_beta=beta)
         for _ in range(horizon):
             column = {e.id: rng.uniform(-2.0, 2.0) for e in system.edges}
             offset = rng.uniform(-5.0, 5.0)
-            plain = hedge_update(plain, column)
-            shifted = hedge_update(
-                shifted, {eid: value + offset for eid, value in column.items()}
-            )
-            a = hedge_allocation(plain)
-            b = hedge_allocation(shifted)
+            plain.update(column)
+            shifted.update({eid: value + offset for eid, value in column.items()})
+            a = dict(zip(plain.index, plain.shares()))
+            b = dict(zip(shifted.index, shifted.shares()))
             for e in system.edges:
-                assert a.get(e.id) == pytest.approx(b.get(e.id), abs=1e-9), (
+                assert a[e.id] == pytest.approx(b[e.id], abs=1e-9), (
                     f"trial {trial}, edge {e.id}"
                 )
     print("PASS criterion 10: shifted update columns leave all 50 trajectories unchanged")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from statistics import fmean
 
 import pytest
 
@@ -28,7 +29,7 @@ from reactive_defense.attackers import (
     RandomPathAttacker,
     random_parallel_attack,
 )
-from reactive_defense.defenders import FixedDefender
+from reactive_defense.defenders import FixedDefender, hindsight_from_usage
 from reactive_defense.model import Attack, System, zero_allocation
 
 
@@ -243,16 +244,23 @@ def test_lower_bound_loop_matches_engine():
         def describe(self):
             return {"policy": "parallel"}
 
-    seed = 123
-    trace = run_game(
-        fixture("appendix_b"),
-        ReactiveDefender(),
-        ParallelAttacker(),
-        rounds=50,
-        seed=seed,
-    )
-    stats = lower_bound_experiment(rounds=50, num_seeds=1, base_seed=seed)
-    assert stats.mean_played_cost == pytest.approx(sum(trace.costs()), abs=1e-12)
+    # The experiment's loop must reproduce the engine bit for bit, seed by
+    # seed and in the means over seeds.
+    system = fixture("appendix_b")
+    base_seed, rounds = 123, 2000
+    played, hindsight = [], []
+    for seed in range(base_seed, base_seed + 3):
+        trace = run_game(
+            system, ReactiveDefender(), ParallelAttacker(), rounds=rounds, seed=seed
+        )
+        played.append(sum(trace.costs()))
+        hindsight.append(hindsight_from_usage(system, trace.edge_usage())[1])
+        stats = lower_bound_experiment(rounds=rounds, num_seeds=1, base_seed=seed)
+        assert stats.mean_played_cost == played[-1]
+        assert stats.mean_hindsight_cost == hindsight[-1]
+    stats = lower_bound_experiment(rounds=rounds, num_seeds=3, base_seed=base_seed)
+    assert stats.mean_played_cost == fmean(played)
+    assert stats.mean_hindsight_cost == fmean(hindsight)
 
 
 def test_regret_curve_prefixes():

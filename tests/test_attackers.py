@@ -26,7 +26,13 @@ from reactive_defense.attackers import (
 from reactive_defense.defenders import uniform_defense
 from reactive_defense.fixtures import star
 from reactive_defense.generators import random_system
-from reactive_defense.model import Attack, DefenseAllocation, System, zero_allocation
+from reactive_defense.model import (
+    Attack,
+    DefenseAllocation,
+    System,
+    validate_system,
+    zero_allocation,
+)
 from reactive_defense.paths import PathSet
 
 
@@ -215,18 +221,42 @@ def test_selection_tie_branches_match_lexsort_order():
         pick = _assert_same_pick(pathset, even, objective)
         assert pick.attack.path == ("b0",)
 
-    # a subnormal surface is valid, but its rate is inf and inf * 0 is NaN:
-    # NaN keys rank last, and a column that is NaN everywhere ties
+    # a subnormal surface is rejected as input: its rate would be inf, and
+    # inf * 0 is NaN.  A PathSet built around validation still prices NaN,
+    # where NaN keys rank last and a column that is NaN everywhere ties
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in (
             [("a", "s", "x", 1e-310), ("b", "s", "y", 1.0), ("c", "x", "y", 1.0)],
             [("a", "s", "x", 1e-310)],
         ):
             system = System.build(edges=rows, rewards={"x": 1.0, "y": 2.0})
+            assert [v.code for v in validate_system(system)] == ["E-SURFACE"]
             pathset = PathSet.enumerate(system)
             assert math.isnan(pathset.costs(zero_allocation(1.0))[0])
             for objective in ("roa", "profit"):
                 _assert_same_pick(pathset, zero_allocation(1.0), objective)
+
+    # valid input still reaches NaN keys through overflow: ("a", "b") pays
+    # 1e308 + 1e308 = inf and costs 1e308 + 5e307 / 0.1 = inf, so its profit
+    # and return are inf - inf and inf / inf.  ("c",) wins; the free,
+    # worthless ("d",) would win if the NaN spread to the whole column
+    system = System.build(
+        edges=[
+            ("a", "s", "x", 1.0),
+            ("b", "x", "y", 0.1),
+            ("c", "s", "z", 1.0),
+            ("d", "s", "w", 1.0),
+        ],
+        rewards={"x": 1e308, "y": 1e308, "z": 1.0},
+        budget=1.7e308,
+    )
+    assert validate_system(system) == []
+    heavy = DefenseAllocation({"a": 1e308, "b": 5e307, "c": 1e-300}, system.budget)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pathset = PathSet.enumerate(system)
+        assert math.isinf(pathset.payoffs[1]) and math.isinf(pathset.costs(heavy)[1])
+        for objective in ("roa", "profit"):
+            assert _assert_same_pick(pathset, heavy, objective).attack.path == ("c",)
 
 
 def test_random_parallel_attack():

@@ -283,6 +283,48 @@ def test_cli_import_does_not_load_networkx():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_scipy():
+    probe = "import sys, reactive_defense.cli; print('scipy' in sys.modules)"
+    src = str(Path(reactive_defense.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_simulate_rejects_surface_with_infinite_reciprocal(tmp_path, capsys):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(
+        "format_version: 1\n"
+        "start: s\n"
+        "budget: 1.0\n"
+        "rewards: {x: 1.0, y: 2.0}\n"
+        "edges:\n"
+        "  - {id: a, src: s, dst: x, surface: 1.0e-310}\n"
+        "  - {id: b, src: s, dst: y, surface: 1.0}\n"
+        "  - {id: c, src: x, dst: y, surface: 1.0}\n"
+    )
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--system",
+        str(path),
+        "--attacker",
+        "best-profit",
+        "-T",
+        "3",
+        "--out",
+        str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "E-SURFACE" in err and "finite 1/surface" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_lower_bound_command(capsys):
     code, stdout, _ = run_cli(
         capsys, "lower-bound", "-T", "2", "--seeds", "exhaustive"

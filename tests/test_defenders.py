@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import attack_sequence
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
+from reactive_defense.attackers import RandomPathAttacker
 from reactive_defense.defenders import (
     FixedDefender,
-    HedgeState,
+    HedgeLearner,
     KnownEdgesDefender,
     MyopicDefender,
     beta_schedule,
-    hedge_allocation,
-    hedge_update,
     hindsight_from_usage,
     horizon_beta,
     mincut_perimeter_defense,
@@ -27,9 +26,12 @@ from reactive_defense.defenders import (
     reactive_hidden_step,
     uniform_defense,
 )
+from reactive_defense.engine import RoundFeedback
 from reactive_defense.model import (
     Attack,
+    DefenseAllocation,
     System,
+    SystemView,
     roa,
     zero_allocation,
 )
@@ -73,81 +75,114 @@ def _hits(attack: Attack) -> dict[str, float]:
     return {eid: 1.0 for eid in attack.path}
 
 
+def _allocation(learner: HedgeLearner, shares: list[float]) -> dict[str, float]:
+    return dict(zip(learner.index, shares))
+
+
+def _scores(learner: HedgeLearner) -> dict[str, float]:
+    return dict(zip(learner.index, learner.scores))
+
+
 def test_hidden_allocation_zero_before_any_attack():
-    state = HedgeState(budget=5.0)
-    assert hedge_allocation(state).total() == 0.0
-    assert state.beta is None
-    assert state.round_index == 0
+    learner = HedgeLearner(budget=5.0)
+    assert sum(learner.shares()) == 0.0
+    assert learner.beta is None
+    assert learner.round_index == 0
 
 
 def test_hidden_step_overridden_rate():
     surfaces = {"e1": 1.0, "e2": 1.0}
-    state = HedgeState(budget=3.0, fixed_beta=0.5)
-    state, alloc = reactive_hidden_step(state, {"e1": 1.0, "e2": 1.0}, surfaces)
-    assert alloc.get("e1") == pytest.approx(1.5, rel=1e-12)
-    assert alloc.get("e2") == pytest.approx(1.5, rel=1e-12)
+    learner = HedgeLearner(budget=3.0, fixed_beta=0.5)
+    alloc = _allocation(
+        learner, reactive_hidden_step(learner, {"e1": 1.0, "e2": 1.0}, surfaces)
+    )
+    assert alloc["e1"] == pytest.approx(1.5, rel=1e-12)
+    assert alloc["e2"] == pytest.approx(1.5, rel=1e-12)
 
-    state, alloc = reactive_hidden_step(state, {"e1": 1.0}, surfaces)
+    alloc = _allocation(learner, reactive_hidden_step(learner, {"e1": 1.0}, surfaces))
     # scores (-2, -1): shares proportional to 0.5**-2 : 0.5**-1 = 2 : 1
-    assert state.scores["e1"] == -2.0
-    assert state.scores["e2"] == -1.0
-    assert alloc.get("e1") == pytest.approx(2.0, rel=1e-12)
-    assert alloc.get("e2") == pytest.approx(1.0, rel=1e-12)
-    assert state.round_index == 2
+    assert _scores(learner)["e1"] == -2.0
+    assert _scores(learner)["e2"] == -1.0
+    assert alloc["e1"] == pytest.approx(2.0, rel=1e-12)
+    assert alloc["e2"] == pytest.approx(1.0, rel=1e-12)
+    assert learner.round_index == 2
 
 
 def test_hidden_step_default_schedule():
     surfaces = {"e1": 2.0, "e2": 4.0}
-    state = HedgeState(budget=1.0)
-    state, _ = reactive_hidden_step(state, {"e1": 1.0}, surfaces)
-    assert state.beta == beta_schedule(1, 1) == 1.0
-    state, alloc = reactive_hidden_step(state, {"e2": 1.0}, surfaces)
+    learner = HedgeLearner(budget=1.0)
+    reactive_hidden_step(learner, {"e1": 1.0}, surfaces)
+    assert learner.beta == beta_schedule(1, 1) == 1.0
+    alloc = _allocation(learner, reactive_hidden_step(learner, {"e2": 1.0}, surfaces))
     # two edges revealed after two rounds
     beta = beta_schedule(2, 2)
-    assert state.beta == beta
-    assert list(state.surfaces) == ["e1", "e2"]
+    assert learner.beta == beta
+    assert list(learner.index) == ["e1", "e2"]
+    assert learner.surfaces == [2.0, 4.0]
     # recompute the allocation directly from the committed scores
-    shares = {eid: beta ** state.scores[eid] for eid in surfaces}
+    shares = {eid: beta ** _scores(learner)[eid] for eid in surfaces}
     z = sum(shares.values())
     for eid in surfaces:
-        assert alloc.get(eid) == pytest.approx(shares[eid] / z, rel=1e-12)
+        assert alloc[eid] == pytest.approx(shares[eid] / z, rel=1e-12)
 
 
 def test_hidden_update_weighted_masses():
     surfaces = {"a": 1.0, "b": 2.0}
-    state = HedgeState(budget=4.0)
-    state, _ = reactive_hidden_step(state, {"a": 0.25, "b": 0.75}, surfaces)
-    assert state.scores["a"] == -0.25
-    assert state.scores["b"] == -0.375
+    learner = HedgeLearner(budget=4.0)
+    reactive_hidden_step(learner, {"a": 0.25, "b": 0.75}, surfaces)
+    assert _scores(learner)["a"] == -0.25
+    assert _scores(learner)["b"] == -0.375
 
 
 def test_hidden_update_rejects_bad_input():
     surfaces = {"e1": 1.0}
-    state = HedgeState(budget=1.0)
+    learner = HedgeLearner(budget=1.0)
     with pytest.raises(ValueError, match="no attacked edges"):
-        reactive_hidden_step(state, {}, surfaces)
+        reactive_hidden_step(learner, {}, surfaces)
     with pytest.raises(ValueError, match="negative attack weight"):
-        reactive_hidden_step(state, {"e1": -0.5}, surfaces)
+        reactive_hidden_step(learner, {"e1": -0.5}, surfaces)
     with pytest.raises(ValueError, match="no surface reported"):
-        reactive_hidden_step(state, {"ghost": 1.0}, surfaces)
+        reactive_hidden_step(learner, {"ghost": 1.0}, surfaces)
     with pytest.raises(ValueError, match="must be positive"):
-        reactive_hidden_step(state, {"e1": 1.0}, {"e1": -2.0})
-    state, _ = reactive_hidden_step(state, {"e1": 1.0}, surfaces)
+        reactive_hidden_step(learner, {"e1": 1.0}, {"e1": -2.0})
+    reactive_hidden_step(learner, {"e1": 1.0}, surfaces)
     with pytest.raises(ValueError, match="re-revealed"):
-        reactive_hidden_step(state, {"e1": 1.0}, {"e1": 3.0})
+        reactive_hidden_step(learner, {"e1": 1.0}, {"e1": 3.0})
     with pytest.raises(ValueError, match="beta"):
-        hedge_allocation(HedgeState(1.0, state.surfaces, fixed_beta=0.0))
+        HedgeLearner(1.0, surfaces, fixed_beta=0.0).shares()
     with pytest.raises(ValueError, match="beta"):
-        hedge_allocation(HedgeState(1.0, state.surfaces, fixed_beta=1.5))
+        HedgeLearner(1.0, surfaces, fixed_beta=1.5).shares()
+
+
+def test_rejected_round_leaves_learner_unchanged():
+    learner = HedgeLearner(budget=1.0)
+    reactive_hidden_step(learner, {"e1": 1.0}, {"e1": 1.0})
+
+    def snapshot():
+        return dict(learner.index), list(learner.surfaces), list(learner.scores), learner.round_index
+
+    before = snapshot()
+    bad_rounds = [
+        ({"e2": 1.0, "e1": -1.0}, {"e1": 1.0, "e2": 1.0}),
+        ({"e2": 1.0, "e1": 1.0}, {"e1": 3.0, "e2": 1.0}),
+        ({"e1": 1.0, "e2": 1.0}, {"e1": 1.0}),
+    ]
+    for edge_weights, surfaces in bad_rounds:
+        with pytest.raises(ValueError):
+            reactive_hidden_step(learner, edge_weights, surfaces)
+        assert snapshot() == before
+    with pytest.raises(KeyError, match="ghost"):
+        learner.update({"e1": 1.0, "ghost": 1.0})
+    assert snapshot() == before
 
 
 # ---------------------------------------------------------------------------
 # known-edge learner
 
 
-def _known_state(system, beta: float) -> HedgeState:
+def _known_learner(system, beta: float) -> HedgeLearner:
     surfaces = {e.id: e.surface for e in system.edges}
-    return HedgeState(system.budget, surfaces, fixed_beta=beta)
+    return HedgeLearner(system.budget, surfaces, fixed_beta=beta)
 
 
 def test_known_start_uniform():
@@ -165,25 +200,27 @@ def test_known_step_penalizes_attacked_edge():
     system = System.build(
         edges=[("e1", "s", "a", 1.0), ("e2", "s", "b", 1.0)], budget=1.0
     )
-    state = _known_state(system, beta=0.5)
-    state, alloc = reactive_hidden_step(state, {"e1": 1.0}, {"e1": 1.0})
+    learner = _known_learner(system, beta=0.5)
+    alloc = _allocation(learner, reactive_hidden_step(learner, {"e1": 1.0}, {"e1": 1.0}))
     # share(e1) doubles before renormalizing: (1, 0.5) -> (2/3, 1/3)
-    assert alloc.get("e1") == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert alloc.get("e2") == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert state.round_index == 1
-    assert state.beta == 0.5
+    assert alloc["e1"] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert alloc["e2"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert learner.round_index == 1
+    assert learner.beta == 0.5
 
 
 def test_known_update_shift_invariant():
     system = fixture("fig3_n2")
-    base = _known_state(system, beta=0.7)
-    eids = list(base.surfaces)
+    plain, moved = _known_learner(system, beta=0.7), _known_learner(system, beta=0.7)
+    eids = list(plain.index)
     column = {eids[0]: -1.4, eids[1]: 0.25}
     shifted = {eid: column[eid] + 3.75 for eid in eids}
-    a = hedge_allocation(hedge_update(base, column))
-    b = hedge_allocation(hedge_update(base, shifted))
+    plain.update(column)
+    moved.update(shifted)
+    a = _allocation(plain, plain.shares())
+    b = _allocation(moved, moved.shares())
     for eid in eids:
-        assert a.get(eid) == pytest.approx(b.get(eid), rel=1e-12)
+        assert a[eid] == pytest.approx(b[eid], rel=1e-12)
 
 
 def test_known_defender_tie_trajectory_is_frozen():
@@ -208,14 +245,64 @@ def test_known_learner_rejects_bad_input():
         KnownEdgesDefender().start(system, horizon=0)
     with pytest.raises(ValueError, match="beta"):
         KnownEdgesDefender(beta=1.5).start(system, horizon=5)
-    state = _known_state(system, beta=0.5)
+    learner = _known_learner(system, beta=0.5)
     with pytest.raises(KeyError, match="ghost"):
-        hedge_update(state, {"ghost": 1.0})
+        learner.update({"ghost": 1.0})
     with pytest.raises(ValueError, match="no surface reported"):
-        reactive_hidden_step(state, {"ghost": 1.0}, {})
+        reactive_hidden_step(learner, {"ghost": 1.0}, {})
     empty = System.build(edges=[], start="s")
     with pytest.raises(ValueError, match="no edges"):
         KnownEdgesDefender().start(empty, horizon=5)
+
+
+def test_defender_instances_replay_identically():
+    # The learner is mutable and lives in the defender, so each start must
+    # begin afresh: a reused instance replays its first game exactly.
+    system = random_system(random.Random(26), max_extra_edges=12, max_vertices=8)
+    for make_defender in (ReactiveDefender, KnownEdgesDefender):
+        for make_attacker in (lambda: BestResponseAttacker("profit"), RandomPathAttacker):
+            defender = make_defender()
+            first = run_game(system, defender, make_attacker(), 40, seed=5)
+            second = run_game(system, defender, make_attacker(), 40, seed=5)
+            fresh = run_game(system, make_defender(), make_attacker(), 40, seed=5)
+            assert first == second == fresh
+            played = {tuple(r.allocation.alloc.items()) for r in first.records}
+            assert len(played) > 10
+
+
+def test_learners_neither_alias_nor_mutate_surface_mappings():
+    system = fixture("fig3_n2")
+    eids = list(system.edge_ids)
+    surfaces = {e.id: e.surface for e in system.edges}
+    learner = HedgeLearner(system.budget, surfaces, fixed_beta=0.5)
+    reactive_hidden_step(learner, {eids[0]: 1.0}, surfaces)
+    assert surfaces == {e.id: e.surface for e in system.edges}
+    surfaces[eids[0]] = 99.0
+    surfaces["ghost"] = 1.0
+    assert list(learner.index) == eids
+    assert learner.surfaces == [e.surface for e in system.edges]
+
+    for defender, view in (
+        (ReactiveDefender(), SystemView(system.start, system.budget)),
+        (KnownEdgesDefender(beta=0.5), system),
+    ):
+        defender.start(view, horizon=10)
+        surfaces_of = {e.id: e.surface for e in system.edges}
+        reported = dict(surfaces_of)
+        feedback = RoundFeedback(
+            round_index=1,
+            attacks=(Attack((eids[0],)),),
+            surfaces=reported,
+            edge_weights={eids[0]: 1.0},
+        )
+        defender.observe(feedback)
+        assert reported == surfaces_of
+        # a later change to the caller's mapping must not reach the
+        # surfaces the learner checks re-reveals against
+        reported[eids[0]] = 99.0
+        defender.observe(
+            RoundFeedback(2, feedback.attacks, {eids[0]: surfaces_of[eids[0]]}, {eids[0]: 1.0})
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +516,19 @@ def test_fixed_rate_ratio_monotone(seed):
     system = random_system(rng, max_extra_edges=7)
     if len(system.edges) < 2:
         return
-    state = _known_state(system, horizon_beta(len(system.edges), 50))
-    after = hedge_allocation(state)
+    learner = _known_learner(system, horizon_beta(len(system.edges), 50))
+    surfaces = {e.id: e.surface for e in system.edges}
+    after = _allocation(learner, learner.shares())
     for attack in attack_sequence(system, rng, 6):
         before = after
-        state, after = reactive_hidden_step(state, _hits(attack), state.surfaces)
+        after = _allocation(
+            learner, reactive_hidden_step(learner, _hits(attack), surfaces)
+        )
         hit = set(attack.path)
         for spared in set(system.edge_ids) - hit:
             for eid in hit:
-                old = before.get(eid) / before.get(spared)
-                new = after.get(eid) / after.get(spared)
+                old = before[eid] / before[spared]
+                new = after[eid] / after[spared]
                 assert new > old * (1.0 - 1e-12)
 
 
@@ -450,19 +540,22 @@ def test_annealed_ratio_monotone_without_new_reveals(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     surfaces = {f"e{i}": 1.0 for i in range(n)}
-    state = HedgeState(budget=1.0)
-    state, alloc = reactive_hidden_step(
-        state, {eid: 1.0 / n for eid in surfaces}, surfaces
+    learner = HedgeLearner(budget=1.0)
+    alloc = _allocation(
+        learner,
+        reactive_hidden_step(learner, {eid: 1.0 / n for eid in surfaces}, surfaces),
     )
     for _ in range(rng.randint(1, 12)):
         target = rng.choice(sorted(surfaces))
         before = alloc
-        state, alloc = reactive_hidden_step(state, {target: 1.0}, surfaces)
+        alloc = _allocation(
+            learner, reactive_hidden_step(learner, {target: 1.0}, surfaces)
+        )
         for other in surfaces:
             if other == target:
                 continue
-            old = before.get(target) / before.get(other)
-            new = alloc.get(target) / alloc.get(other)
+            old = before[target] / before[other]
+            new = alloc[target] / alloc[other]
             assert new > old * (1.0 - 1e-12)
 
 
@@ -471,9 +564,10 @@ def test_annealed_ratio_monotone_without_new_reveals(seed):
 def test_learner_allocations_feasible(seed):
     rng = random.Random(seed)
     system = random_system(rng, max_extra_edges=9)
-    state = HedgeState(budget=system.budget)
+    learner = HedgeLearner(budget=system.budget)
     surfaces = {e.id: e.surface for e in system.edges}
     for attack in attack_sequence(system, rng, 10):
-        state, alloc = reactive_hidden_step(state, _hits(attack), surfaces)
+        shares = reactive_hidden_step(learner, _hits(attack), surfaces)
+        alloc = DefenseAllocation(_allocation(learner, shares), system.budget)
         assert alloc.total() == pytest.approx(system.budget, rel=1e-9)
-        assert set(alloc.support()) <= set(state.surfaces)
+        assert set(alloc.support()) <= set(learner.index)

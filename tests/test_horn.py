@@ -85,6 +85,14 @@ def test_horn_validation_codes():
     assert "E-PROP" in {v.code for v in validate_horn_system(lonely)}
 
 
+def test_horn_validation_rejects_surface_with_infinite_reciprocal():
+    tiny = HornSystem.build(clauses=[("c1", (), "p", 1e-310)], rewards={"p": 1.0})
+    assert [v.code for v in validate_horn_system(tiny)] == ["E-SURFACE"]
+    assert validate_horn_system(
+        HornSystem.build(clauses=[("c1", (), "p", 1e-300)], rewards={"p": 1.0})
+    ) == []
+
+
 def test_graph_embedding_preserves_functionals():
     system = fixture("fig2")
     embedding = graph_to_horn(system)
