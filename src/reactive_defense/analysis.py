@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .attackers import star_edges
-from .defenders import HedgeLearner, hindsight_from_usage, reactive_hidden_step
+from .defenders import (
+    HedgeLearner,
+    hindsight_from_usage,
+    proportional_defense,
+    reactive_hidden_step,
+)
 from .engine import GameTrace, round_edge_usage
 from .fixtures import two_parallel_edges
 from .model import DefenseAllocation, System
@@ -187,11 +192,9 @@ def game_value(system: System) -> GameValue:
     perimeter = system.start_edges()
     if not perimeter:
         raise ValueError("no edges leave the start vertex")
-    total = sum(e.surface for e in perimeter)
-    allocation = DefenseAllocation(
-        {e.id: system.budget * e.surface / total for e in perimeter}, system.budget
-    )
-    return GameValue(system.budget / total, allocation)
+    surfaces = {e.id: e.surface for e in perimeter}
+    allocation = proportional_defense(system.budget, surfaces)
+    return GameValue(system.budget / sum(surfaces.values()), allocation)
 
 
 @dataclass(frozen=True)

@@ -221,10 +221,7 @@ def mincut_perimeter_defense(system: System, target: str) -> DefenseAllocation:
     # far side would put its source there too: the cut is empty.
     if not cut:
         raise ValueError(f"target {target!r} is unreachable from {system.start!r}")
-    weight = sum(e.surface for e in cut)
-    return DefenseAllocation(
-        {e.id: system.budget * e.surface / weight for e in cut}, system.budget
-    )
+    return proportional_defense(system.budget, {e.id: e.surface for e in cut})
 
 
 @dataclass(frozen=True)
@@ -340,11 +337,11 @@ def uniform_defense(system: System) -> DefenseAllocation:
     return DefenseAllocation({e.id: share for e in system.edges}, system.budget)
 
 
-def myopic_defense(budget: float, surfaces: Mapping[str, float]) -> DefenseAllocation:
-    """Whole budget over the last round's attacked edges, proportional to
-    surface; ``surfaces`` maps those edges to their surfaces."""
+def proportional_defense(budget: float, surfaces: Mapping[str, float]) -> DefenseAllocation:
+    """Whole budget over the edges of ``surfaces`` (edge id to surface),
+    proportional to surface, so each edge charges budget / sum(surfaces)."""
     if not surfaces:
-        raise ValueError("the last round attacked no edges")
+        raise ValueError("no edges to defend")
     total = sum(surfaces.values())
     return DefenseAllocation(
         {eid: budget * w / total for eid, w in surfaces.items()}, budget
@@ -452,7 +449,7 @@ class MyopicDefender(Defender):
         return self._pending
 
     def observe(self, feedback) -> None:
-        self._pending = myopic_defense(self._pending.budget, feedback.surfaces)
+        self._pending = proportional_defense(self._pending.budget, feedback.surfaces)
 
     def describe(self) -> dict[str, Any]:
         return {"policy": "myopic"}

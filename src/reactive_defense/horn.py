@@ -6,24 +6,18 @@ earlier clause.  Payoff sums rewards of distinct derived propositions;
 cost charges each clause occurrence its allocation over surface.  A graph
 system embeds exactly (one clause per edge plus a zero-cost base clause
 for the start vertex), and the embedding preserves cost and payoff.
+
+Both back ends share one set of invariants, so ``model.validate_system``
+checks Horn systems too, and ``io`` reads and writes both.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .model import (
-    _ID_PATTERN,
-    _valid_surface,
-    Attack,
-    DefenseAllocation,
-    InvalidProofError,
-    System,
-    Violation,
-)
+from .model import Attack, DefenseAllocation, InvalidProofError, System
 
 
 @dataclass(frozen=True)
@@ -105,39 +99,6 @@ class Proof:
 
     def __len__(self) -> int:
         return len(self.clauses)
-
-
-def validate_horn_system(system: HornSystem) -> list[Violation]:
-    out: list[Violation] = []
-    if not (math.isfinite(system.budget) and system.budget > 0):
-        out.append(Violation("E-BUDGET", f"budget must be positive, got {system.budget}"))
-    for p in sorted(system.propositions):
-        if not _ID_PATTERN.match(p):
-            out.append(Violation("E-ID", f"proposition id {p!r} is not a plain token"))
-    for prop, reward in system.rewards.items():
-        if prop not in system.propositions:
-            out.append(Violation("E-PROP", f"reward names undeclared proposition {prop!r}"))
-        if not (math.isfinite(reward) and reward >= 0):
-            out.append(
-                Violation("E-REWARD", f"reward of {prop!r} must be nonnegative, got {reward}")
-            )
-    seen: set[str] = set()
-    for c in system.clauses:
-        if not _ID_PATTERN.match(c.id):
-            out.append(Violation("E-ID", f"clause id {c.id!r} is not a plain token"))
-        if c.id in seen:
-            out.append(Violation("E-CLAUSE-ID", f"duplicate clause id {c.id!r}"))
-        seen.add(c.id)
-        for prop in sorted(c.antecedents | {c.consequent}):
-            if prop not in system.propositions:
-                out.append(
-                    Violation("E-PROP", f"clause {c.id!r} references undeclared proposition {prop!r}")
-                )
-        if not _valid_surface(c.surface):
-            out.append(
-                Violation("E-SURFACE", f"clause {c.id!r} must have positive surface with finite 1/surface, got {c.surface}")
-            )
-    return out
 
 
 def validate_proof(system: HornSystem, proof: Proof) -> None:

@@ -19,9 +19,11 @@ or, with ``clauses`` in place of ``edges``, a Horn system::
     clauses:
       - {id: boot, antecedents: [], consequent: foothold, surface: 2.0}
 
-Unknown keys are rejected.  Structural problems raise
-:class:`FileFormatError` with code E-IO (unreadable), E-SYNTAX (not
-parseable) or E-SCHEMA (wrong shape); semantic problems surface as
+Both kinds are read and written from one table of row fields, and
+:func:`~.model.validate_system` checks both.  Unknown keys are rejected.
+Structural problems raise :class:`FileFormatError` with code E-IO
+(unreadable), E-SYNTAX (not parseable) or E-SCHEMA (wrong shape, or a
+number beyond the float range); semantic problems surface as
 :class:`~.model.ValidationError` with the model's own codes.
 
 A recorded game becomes three files in one directory: ``trace.csv``
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from os import PathLike
 from pathlib import Path
 from typing import NoReturn
@@ -63,27 +65,18 @@ TRACE_COLUMNS = ("t", "attack", "cost", "payoff", "revealed", "beta")
 
 KNOWN_CHECKS = ("profit_regret", "roa_ratio")
 
-_GRAPH_KEYS = {
-    "format_version",
-    "name",
-    "description",
-    "start",
-    "budget",
-    "rewards",
-    "vertices",
-    "edges",
+_COMMON_KEYS = {"format_version", "name", "description", "budget", "rewards"}
+# Per back end, keyed by its rows key: the key of its extra names and the
+# fields of a row in constructor order, each with its type (str, a list of
+# str, or a number).  Keys double as the attribute names of the system and
+# of its edges or clauses.
+_ROW_KINDS = {
+    "edges": ("vertices", {"id": str, "src": str, "dst": str, "surface": float}),
+    "clauses": (
+        "propositions",
+        {"id": str, "antecedents": list, "consequent": str, "surface": float},
+    ),
 }
-_HORN_KEYS = {
-    "format_version",
-    "name",
-    "description",
-    "budget",
-    "rewards",
-    "propositions",
-    "clauses",
-}
-_EDGE_KEYS = {"id", "src", "dst", "surface"}
-_CLAUSE_KEYS = {"id", "antecedents", "consequent", "surface"}
 _CONFIG_KEYS = {
     "format_version",
     "name",
@@ -152,7 +145,11 @@ def _number(value, what: str, source: str) -> float:
     # bool is an int subclass; a YAML "true" is never a valid quantity.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _schema(source, f"'{what}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # An integer beyond the float range; its digits are not echoed.
+        _schema(source, f"'{what}' must be a finite number")
 
 
 def _integer(value, what: str, source: str) -> int:
@@ -186,30 +183,23 @@ def _reward_map(value, source: str) -> dict[str, float]:
 
 def system_to_doc(system: System | HornSystem, name: str | None = None) -> dict:
     """JSON/YAML-ready document for a graph or Horn system."""
+    horn = isinstance(system, HornSystem)
     doc: dict = {"format_version": SYSTEM_FORMAT_VERSION}
     if name is not None:
         doc["name"] = name
-    if isinstance(system, HornSystem):
-        doc["budget"] = float(system.budget)
-        doc["rewards"] = {p: float(system.rewards[p]) for p in sorted(system.rewards)}
-        doc["propositions"] = sorted(system.propositions)
-        doc["clauses"] = [
-            {
-                "id": c.id,
-                "antecedents": sorted(c.antecedents),
-                "consequent": c.consequent,
-                "surface": float(c.surface),
-            }
-            for c in system.clauses
-        ]
-        return doc
-    doc["start"] = system.start
+    if not horn:
+        doc["start"] = system.start
     doc["budget"] = float(system.budget)
     doc["rewards"] = {v: float(system.rewards[v]) for v in sorted(system.rewards)}
-    doc["vertices"] = sorted(system.vertices)
-    doc["edges"] = [
-        {"id": e.id, "src": e.src, "dst": e.dst, "surface": float(e.surface)}
-        for e in system.edges
+    rows_key = "clauses" if horn else "edges"
+    names_key, fields = _ROW_KINDS[rows_key]
+    doc[names_key] = sorted(getattr(system, names_key))
+    doc[rows_key] = [
+        {
+            key: sorted(getattr(u, key)) if kind is list else kind(getattr(u, key))
+            for key, kind in fields.items()
+        }
+        for u in getattr(system, rows_key)
     ]
     return doc
 
@@ -227,82 +217,47 @@ def system_from_doc(doc, source: str = "<doc>") -> System | HornSystem:
         _schema(source, f"format_version must be {SYSTEM_FORMAT_VERSION}, got {version!r}")
     if ("edges" in doc) == ("clauses" in doc):
         _schema(source, "exactly one of 'edges' (graph) or 'clauses' (Horn) is required")
-    if "clauses" in doc:
-        system: System | HornSystem = _horn_from_doc(doc, source)
+    horn = "clauses" in doc
+    rows_key = "clauses" if horn else "edges"
+    names_key, fields = _ROW_KINDS[rows_key]
+    allowed = _COMMON_KEYS | {names_key, rows_key} | (set() if horn else {"start"})
+    _reject_unknown(doc, allowed, source)
+    start = None if horn else _string(doc, "start", source)
+    budget = _number(doc.get("budget"), "budget", source)
+    rewards = _reward_map(doc.get("rewards"), source)
+    extra_names = set(_string_list(doc.get(names_key, []), names_key, source))
+    rows = _rows(doc.get(rows_key), rows_key, fields, source)
+    if horn:
+        system: System | HornSystem = HornSystem.build(rows, rewards, budget)
     else:
-        system = _graph_from_doc(doc, source)
+        system = System.build(rows, rewards, start, budget)
+    declared = getattr(system, names_key)
+    if extra_names - declared:
+        system = replace(system, **{names_key: declared | extra_names})
     ensure_valid_system(system)
     return system
 
 
-def _graph_from_doc(doc: dict, source: str) -> System:
-    _reject_unknown(doc, _GRAPH_KEYS, source)
-    start = _string(doc, "start", source)
-    budget = _number(doc.get("budget"), "budget", source)
-    rewards = _reward_map(doc.get("rewards"), source)
-    extra_vertices = set(_string_list(doc.get("vertices", []), "vertices", source))
-    edges_field = doc.get("edges")
-    if not isinstance(edges_field, list):
-        _schema(source, f"'edges' must be a list, got {edges_field!r}")
-    rows = []
-    for i, entry in enumerate(edges_field):
-        where = f"edges[{i}]"
+def _rows(value, key: str, fields: dict, source: str) -> list[tuple]:
+    """Rows of ``fields`` values, one per mapping in the list ``value``."""
+    if not isinstance(value, list):
+        _schema(source, f"'{key}' must be a list, got {value!r}")
+    allowed, rows = set(fields), []
+    for i, entry in enumerate(value):
+        where = f"{key}[{i}]"
         if not isinstance(entry, dict):
             _schema(source, f"{where} must be a mapping, got {entry!r}")
-        _reject_unknown(entry, _EDGE_KEYS, source, where)
-        rows.append(
-            (
-                _string(entry, "id", source, where),
-                _string(entry, "src", source, where),
-                _string(entry, "dst", source, where),
-                _number(entry.get("surface"), f"{where}.surface", source),
-            )
-        )
-    system = System.build(edges=rows, rewards=rewards, start=start, budget=budget)
-    if extra_vertices - system.vertices:
-        system = System(
-            system.vertices | extra_vertices,
-            system.edges,
-            dict(system.rewards),
-            start,
-            budget,
-        )
-    return system
-
-
-def _horn_from_doc(doc: dict, source: str) -> HornSystem:
-    _reject_unknown(doc, _HORN_KEYS, source)
-    budget = _number(doc.get("budget"), "budget", source)
-    rewards = _reward_map(doc.get("rewards"), source)
-    extra_props = set(_string_list(doc.get("propositions", []), "propositions", source))
-    clauses_field = doc.get("clauses")
-    if not isinstance(clauses_field, list):
-        _schema(source, f"'clauses' must be a list, got {clauses_field!r}")
-    rows = []
-    for i, entry in enumerate(clauses_field):
-        where = f"clauses[{i}]"
-        if not isinstance(entry, dict):
-            _schema(source, f"{where} must be a mapping, got {entry!r}")
-        _reject_unknown(entry, _CLAUSE_KEYS, source, where)
-        rows.append(
-            (
-                _string(entry, "id", source, where),
-                _string_list(
-                    entry.get("antecedents", []), f"{where}.antecedents", source
-                ),
-                _string(entry, "consequent", source, where),
-                _number(entry.get("surface"), f"{where}.surface", source),
-            )
-        )
-    system = HornSystem.build(clauses=rows, rewards=rewards, budget=budget)
-    if extra_props - system.propositions:
-        system = HornSystem(
-            system.propositions | extra_props,
-            system.clauses,
-            dict(system.rewards),
-            budget,
-        )
-    return system
+        _reject_unknown(entry, allowed, source, where)
+        row = []
+        for field, kind in fields.items():
+            if kind is str:
+                row.append(_string(entry, field, source, where))
+            elif kind is list:
+                row.append(_string_list(entry.get(field, []), f"{where}.{field}", source))
+            else:
+                row.append(_number(entry.get(field), f"{where}.{field}", source))
+        rows.append(tuple(row))
+    return rows
 
 
 def load_system(path: str | PathLike) -> System | HornSystem:

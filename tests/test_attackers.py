@@ -236,10 +236,11 @@ def test_selection_tie_branches_match_lexsort_order():
             for objective in ("roa", "profit"):
                 _assert_same_pick(pathset, zero_allocation(1.0), objective)
 
-    # valid input still reaches NaN keys through overflow: ("a", "b") pays
-    # 1e308 + 1e308 = inf and costs 1e308 + 5e307 / 0.1 = inf, so its profit
-    # and return are inf - inf and inf / inf.  ("c",) wins; the free,
-    # worthless ("d",) would win if the NaN spread to the whole column
+    # rewards whose total overflows are rejected as input too: ("a", "b")
+    # pays 1e308 + 1e308 = inf and costs 1e308 + 5e307 / 0.1 = inf, so its
+    # profit and return are inf - inf and inf / inf.  Unvalidated, ("c",)
+    # wins; the free, worthless ("d",) would win if the NaN spread to the
+    # whole column
     system = System.build(
         edges=[
             ("a", "s", "x", 1.0),
@@ -250,7 +251,7 @@ def test_selection_tie_branches_match_lexsort_order():
         rewards={"x": 1e308, "y": 1e308, "z": 1.0},
         budget=1.7e308,
     )
-    assert validate_system(system) == []
+    assert [v.code for v in validate_system(system)] == ["E-REWARD"]
     heavy = DefenseAllocation({"a": 1e308, "b": 5e307, "c": 1e-300}, system.budget)
     with np.errstate(over="ignore", invalid="ignore"):
         pathset = PathSet.enumerate(system)

@@ -188,6 +188,59 @@ def test_simulate_rejects_nan_fixed_allocation(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_rejects_oversize_integer_fixed_allocation(tmp_path, capsys):
+    alloc = tmp_path / "big.json"
+    alloc.write_text('{"left": 1%s}' % ("0" * 400))
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--system",
+        "fig2",
+        "--defender",
+        f"fixed:{alloc}",
+        "-T",
+        "2",
+        "--out",
+        str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "E-SCHEMA" in err and "'edge left' must be a finite number" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        (
+            "start: s\nbudget: 1%s\nrewards: {a: 1.0}\n"
+            "edges: [{id: e, src: s, dst: a, surface: 1.0}]\n" % ("0" * 400),
+            "'budget' must be a finite number",
+        ),
+        (
+            "start: s\nbudget: 1.0\nrewards: {a: 1.0e+308, b: 1.0e+308}\n"
+            "edges: [{id: e, src: s, dst: a, surface: 1.0},"
+            " {id: f, src: a, dst: b, surface: 1.0}]\n",
+            "E-REWARD",
+        ),
+        (
+            "budget: 1.0\nrewards: {p: 1.0e+308, q: 1.0e+308}\n"
+            "clauses: [{id: c1, consequent: p, surface: 1.0},"
+            " {id: c2, antecedents: [p], consequent: q, surface: 1.0}]\n",
+            "E-REWARD",
+        ),
+    ],
+)
+def test_simulate_rejects_numbers_out_of_float_range(tmp_path, capsys, text, fragment):
+    path = tmp_path / "big.yaml"
+    path.write_text("format_version: 1\n" + text)
+    code, _, err = run_cli(
+        capsys, "simulate", "--system", str(path), "-T", "2", "--out", str(tmp_path / "run")
+    )
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_rejects_deeply_nested_fixed_allocation(tmp_path, capsys):
     alloc = tmp_path / "deep.json"
     alloc.write_text("[" * 100_000)

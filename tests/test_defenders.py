@@ -22,7 +22,7 @@ from reactive_defense.defenders import (
     horizon_beta,
     mincut_perimeter_defense,
     minimax_proactive_defense,
-    myopic_defense,
+    proportional_defense,
     reactive_hidden_step,
     uniform_defense,
 )
@@ -455,14 +455,14 @@ def test_uniform_and_myopic_defense():
     assert uni.get("left") == 5.0
     assert uni.get("right") == 5.0
 
-    myo = myopic_defense(system.budget, {"left": 5.0, "right": 5.0 / 9.0})
+    myo = proportional_defense(system.budget, {"left": 5.0, "right": 5.0 / 9.0})
     total_surface = 5.0 + 5.0 / 9.0
     assert myo.get("left") == pytest.approx(10.0 * 5.0 / total_surface, rel=1e-12)
     assert myo.get("right") == pytest.approx(
         10.0 * (5.0 / 9.0) / total_surface, rel=1e-12
     )
     with pytest.raises(ValueError, match="no edges"):
-        myopic_defense(system.budget, {})
+        proportional_defense(system.budget, {})
     with pytest.raises(ValueError, match="no edges"):
         uniform_defense(System.build(edges=[], start="s"))
 

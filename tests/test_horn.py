@@ -15,7 +15,6 @@ from reactive_defense.horn import (
     graph_to_horn,
     horn_cost,
     horn_payoff,
-    validate_horn_system,
     validate_proof,
 )
 from reactive_defense.model import (
@@ -78,17 +77,25 @@ def test_horn_validation_codes():
         rewards={"ghost": -2.0},
         budget=0.0,
     )
-    codes = {v.code for v in validate_horn_system(bad)}
+    codes = {v.code for v in validate_system(bad)}
     assert {"E-BUDGET", "E-SURFACE", "E-CLAUSE-ID", "E-ID", "E-REWARD"} <= codes
     # rewards on undeclared propositions
     lonely = HornSystem(frozenset({"p"}), (), {"q": 1.0}, 1.0)
-    assert "E-PROP" in {v.code for v in validate_horn_system(lonely)}
+    assert "E-PROP" in {v.code for v in validate_system(lonely)}
+    # finite rewards whose total overflows
+    overflow = HornSystem.build(
+        clauses=[("c1", (), "p", 1.0), ("c2", ("p",), "q", 1.0)],
+        rewards={"p": 1e308, "q": 1e308},
+    )
+    assert [(v.code, v.message) for v in validate_system(overflow)] == [
+        ("E-REWARD", "rewards must have a finite total, got inf")
+    ]
 
 
 def test_horn_validation_rejects_surface_with_infinite_reciprocal():
     tiny = HornSystem.build(clauses=[("c1", (), "p", 1e-310)], rewards={"p": 1.0})
-    assert [v.code for v in validate_horn_system(tiny)] == ["E-SURFACE"]
-    assert validate_horn_system(
+    assert [v.code for v in validate_system(tiny)] == ["E-SURFACE"]
+    assert validate_system(
         HornSystem.build(clauses=[("c1", (), "p", 1e-300)], rewards={"p": 1.0})
     ) == []
 

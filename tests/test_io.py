@@ -7,6 +7,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import FixedSequenceAttacker, MultiAttackRound
@@ -135,6 +137,33 @@ def test_load_system_semantic_errors(tmp_path):
             "quote it",
         ),
         ([1, 2], "mapping at top level"),
+        ({"format_version": 1, "budget": 1, "clauses": {}}, "'clauses' must be a list"),
+        (
+            {
+                "format_version": 1,
+                "budget": 1,
+                "clauses": [{"id": "c", "consequent": "p", "surface": 1, "w": 2}],
+            },
+            r"clauses\[0\]: unknown keys \['w'\]",
+        ),
+        (
+            {
+                "format_version": 1,
+                "budget": 1,
+                "clauses": [
+                    {"id": "c", "antecedents": "p", "consequent": "q", "surface": 1}
+                ],
+            },
+            r"'clauses\[0\]\.antecedents' must be a list of strings",
+        ),
+        (
+            {"format_version": 1, "budget": 1, "clauses": [{"id": "c", "surface": 1}]},
+            r"'clauses\[0\]\.consequent' must be a non-empty string",
+        ),
+        (
+            {"format_version": 1, "budget": 1, "clauses": [], "start": "s"},
+            r"unknown keys \['start'\]",
+        ),
     ],
 )
 def test_system_from_doc_schema_errors(doc, fragment):
@@ -142,6 +171,64 @@ def test_system_from_doc_schema_errors(doc, fragment):
         system_from_doc(doc)
     assert err.value.code == "E-SCHEMA"
     assert str(err.value).startswith("[E-SCHEMA]")
+
+
+_NAMES = st.sampled_from(["s", "a", "b", "bad id", ""])
+_NUMBERS = st.one_of(
+    st.integers(),
+    # unbounded, around the edge of the float range (about 1.8e308)
+    st.builds(lambda m, e: m * 10**e, st.integers(), st.integers(300, 400)),
+    st.floats(),
+)
+_LEAVES = st.one_of(st.none(), st.booleans(), _NUMBERS, _NAMES, st.text(max_size=3))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_LEAVES, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+# Each key gets a value of its own type about half the time, so that
+# documents get past the early shape checks, and anything at all otherwise.
+_KEY_VALUES = {
+    str: _NAMES,
+    float: _NUMBERS,
+    list: st.lists(_NAMES, max_size=3),
+    dict: st.dictionaries(_NAMES, _NUMBERS, max_size=3),
+}
+
+
+def _system_docs(rows_key, fields, top_keys):
+    def values(kind):
+        return _KEY_VALUES[kind] | _VALUES
+
+    row = st.fixed_dictionaries({key: values(kind) for key, kind in fields.items()})
+    return st.fixed_dictionaries(
+        {"format_version": st.just(1), "budget": values(float), rows_key: st.lists(row, max_size=3)}
+        | {key: values(kind) for key, kind in top_keys.items()},
+        optional={"rewards": values(dict), "name": values(str), "extra": _VALUES},
+    )
+
+
+@given(
+    _system_docs(
+        "edges",
+        {"id": str, "src": str, "dst": str, "surface": float},
+        {"start": str, "vertices": list},
+    )
+    | _system_docs(
+        "clauses",
+        {"id": str, "antecedents": list, "consequent": str, "surface": float},
+        {"propositions": list},
+    )
+    | _VALUES
+)
+@settings(max_examples=200, deadline=None)
+def test_system_from_doc_raises_only_format_or_validation_errors(doc):
+    try:
+        system_from_doc(doc)
+    except (FileFormatError, ValidationError):
+        pass
 
 
 def test_load_system_syntax_and_io_errors(tmp_path):

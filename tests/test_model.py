@@ -159,6 +159,9 @@ def test_allocation_feasibility():
         DefenseAllocation({"e": math.nan}, budget=1.0)
     with pytest.raises(ValueError, match="budget must be positive"):
         DefenseAllocation({}, budget=math.nan)
+    # an infinite budget would admit infinite amounts, priced 0 * inf = NaN
+    with pytest.raises(ValueError, match="budget must be positive"):
+        DefenseAllocation({"e1": math.inf}, math.inf)
     # slack admits rounding noise but nothing more
     inside = DefenseAllocation({"e": 1.0 + 0.5 * FEASIBILITY_RTOL}, budget=1.0)
     assert inside.total() > 1.0
@@ -195,6 +198,14 @@ def test_validation_codes():
     with pytest.raises(ValidationError) as err:
         ensure_valid_system(cases["E-SURFACE"])
     assert "E-SURFACE" in err.value.codes
+    # each reward is finite, but a payoff could sum them to inf
+    overflow = System.build(
+        edges=[("e", "s", "a", 1.0), ("f", "a", "b", 1.0)],
+        rewards={"a": 1e308, "b": 1e308},
+    )
+    assert [(v.code, v.message) for v in validate_system(overflow)] == [
+        ("E-REWARD", "rewards must have a finite total, got inf")
+    ]
 
 
 def test_restrict_edges():
