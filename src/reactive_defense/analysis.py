@@ -4,7 +4,9 @@ Two ceilings are checked against played traces: the average-profit regret
 of the reactive defender relative to the hindsight-best fixed allocation,
 and the ratio of cumulative attacker return under the best fixed
 allocation to the return actually conceded.  Both reduce to cost
-comparisons because attack payoffs do not depend on the defense.  A
+comparisons because attack payoffs do not depend on the defense, and both
+take the hindsight optimum from ``defenders.hindsight_from_usage`` over
+the trace's per-round ``engine.round_edge_usage`` totals.  A
 Monte Carlo experiment on two parallel routes estimates the matching
 regret floor, and ``game_value`` gives the closed-form single-round
 guarantee with its witness allocation.
@@ -26,7 +28,7 @@ from .defenders import (
     proportional_defense,
     reactive_hidden_step,
 )
-from .engine import GameTrace, round_edge_usage
+from .engine import GameTrace
 from .fixtures import two_parallel_edges
 from .model import DefenseAllocation, System
 
@@ -136,7 +138,7 @@ def roa_ratio(trace: GameTrace, alpha: float) -> BoundReport:
     reaches ``roa_threshold_rounds``.  A zero played cost has no defined
     ratio and reports as violated with the undefined flag.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     system = trace.system
     _warn_on_small_surfaces(system)
@@ -161,7 +163,7 @@ def roa_threshold_rounds(system: System, alpha: float) -> int:
     surface leaving the start vertex.  Needs more than one edge; with a
     single edge the ratio question is vacuous.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     num_edges = len(system.edges)
     if num_edges <= 1:
@@ -280,42 +282,3 @@ def exact_two_edge_gap(rounds: int) -> float:
             first_edge_picks, rounds - first_edge_picks
         )
     return total / 2.0**rounds - rounds / 2.0
-
-
-@dataclass(frozen=True)
-class RegretCurve:
-    """Prefix average-profit regrets with the matching ceiling series."""
-
-    rounds: tuple[int, ...]
-    measured: tuple[float, ...]
-    bound: tuple[float, ...]
-
-
-def regret_curve(trace: GameTrace) -> RegretCurve:
-    """Average-profit regret of every prefix of a trace.
-
-    Entry t compares the first t rounds against the fixed allocation that
-    is best for that prefix; the ceiling series is the regret ceiling
-    evaluated at each prefix length.
-    """
-    system = trace.system
-    budget = system.budget
-    log_edges = math.log(len(system.edges))
-    mean_inverse_surface = fmean(1.0 / e.surface for e in system.edges)
-    usage: dict[str, float] = {}
-    cumulative_cost = 0.0
-    rounds: list[int] = []
-    measured: list[float] = []
-    bound: list[float] = []
-    for record in trace.records:
-        for eid, weight in round_edge_usage(record.attacks).items():
-            usage[eid] = usage.get(eid, 0.0) + weight
-        cumulative_cost += record.cost
-        t = record.round_index
-        best_cost = budget * max(
-            weight / system.surface(eid) for eid, weight in usage.items()
-        )
-        rounds.append(t)
-        measured.append((best_cost - cumulative_cost) / t)
-        bound.append(_regret_ceiling(budget, log_edges, mean_inverse_surface, t))
-    return RegretCurve(tuple(rounds), tuple(measured), tuple(bound))

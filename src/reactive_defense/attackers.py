@@ -1,7 +1,7 @@
 """Attacker policies: best responders, random walkers, replays, populations.
 
 Policies see the full system and the defender's committed allocation each
-round (worst-case knowledge), except the oblivious wrapper, which only
+round (worst-case knowledge), except the oblivious responder, which only
 knows a fixed subset of edges.  Best responses are deterministic: ties in
 the objective (exact float equality) fall to the cheaper attack, then to
 the earlier enumeration index, which is the lexicographically smallest
@@ -36,22 +36,6 @@ class MultiAttackRound:
         object.__setattr__(self, "attacks", tuple(self.attacks))
         if not self.attacks:
             raise ValueError("a population round needs at least one attack")
-
-
-def aggregate_multi_attack(round_: MultiAttackRound) -> dict[str, float]:
-    """Edge distribution of an attack population.
-
-    Every attack contributes one count to each edge it uses; masses are
-    counts normalized by the total, so they sum to one.
-    """
-    counts: dict[str, float] = {}
-    for attack in round_.attacks:
-        for eid in attack.path:
-            counts[eid] = counts.get(eid, 0.0) + 1.0
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("round contained no attacked edges")
-    return {eid: c / total for eid, c in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -205,13 +189,6 @@ class FixedSequenceAttacker(Attacker):
             raise ValueError("fixed sequence is empty")
         self._moves = tuple(moves)
 
-    @classmethod
-    def from_trace_csv(cls, path) -> "FixedSequenceAttacker":
-        """Replay the attack column of a recorded trace."""
-        from .io import load_attack_sequence
-
-        return cls(load_attack_sequence(path))
-
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
         if horizon > len(self._moves):
             raise ValueError(
@@ -225,7 +202,7 @@ class FixedSequenceAttacker(Attacker):
         return {"policy": "fixed-sequence", "length": len(self._moves)}
 
 
-class ObliviousAttacker(Attacker):
+class ObliviousAttacker(BestResponseAttacker):
     """Best responder that only knows a fixed subset of edges.
 
     Attacks stay inside the visible subgraph; with every edge visible the
@@ -233,17 +210,11 @@ class ObliviousAttacker(Attacker):
     """
 
     def __init__(self, visible: Iterable[str], objective: str = "roa"):
-        if objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {objective!r}")
+        super().__init__(objective)
         self._visible = tuple(visible)
-        self._objective = objective
-        self._paths: PathSet | None = None
 
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
         self._paths = PathSet.enumerate(restrict_edges(system, self._visible))
-
-    def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack:
-        return select_best_response(self._paths, allocation, self._objective).attack
 
     def describe(self) -> dict[str, Any]:
         return {

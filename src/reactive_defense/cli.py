@@ -47,6 +47,7 @@ from .engine import run_game
 from .fixtures import FIXTURES, fixture
 from .io import (
     FileFormatError,
+    load_attack_sequence,
     load_config,
     load_fixed_allocation,
     resolve_system,
@@ -54,7 +55,7 @@ from .io import (
     write_trace,
 )
 from .model import InvalidAttackError, System, ValidationError
-from .paths import EnumerationLimitError
+from .paths import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError
 
 DEFENDER_SPECS = (
     "reactive, known[:beta], uniform, myopic, minimax-roa, minimax-profit, "
@@ -142,7 +143,7 @@ def build_attacker(spec: str) -> Attacker:
     if name == "replay":
         if not arg:
             raise ValueError("replay attacker needs a file: replay:<trace.csv>")
-        return FixedSequenceAttacker.from_trace_csv(arg)
+        return FixedSequenceAttacker(load_attack_sequence(arg))
     if name in ("oblivious-roa", "oblivious-profit"):
         if not arg:
             raise ValueError(f"{name} needs edge ids: {name}:<e1,e2,...>")
@@ -294,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimax", help="one-shot allocation optimizing the worst case")
     p.add_argument("--system", required=True, help="fixture name or system file")
     p.add_argument("--objective", choices=("roa", "profit"), default="roa")
-    p.add_argument("--limit", type=int, default=10_000, help="path enumeration cap")
+    p.add_argument(
+        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="path enumeration cap"
+    )
     p.set_defaults(func=_cmd_minimax)
 
     p = sub.add_parser("mincut", help="perimeter defense from a minimum cut")

@@ -78,10 +78,6 @@ class RoundRecord:
     newly_revealed: tuple[str, ...]
     beta: float | None
 
-    @property
-    def is_multi(self) -> bool:
-        return len(self.attacks) > 1
-
 
 @dataclass(frozen=True)
 class GameTrace:

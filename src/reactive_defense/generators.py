@@ -7,11 +7,12 @@ import random
 from .model import Attack, Edge, System
 
 
+# Chance that an extra edge copies an existing edge's endpoints.
+_PARALLEL_CHANCE = 0.3
+
+
 def random_system(
-    rng: random.Random,
-    max_extra_edges: int = 19,
-    max_vertices: int = 8,
-    parallel_chance: float = 0.3,
+    rng: random.Random, max_extra_edges: int = 19, max_vertices: int = 8
 ) -> System:
     """Draw a small random system with at least one edge out of the start.
 
@@ -33,7 +34,7 @@ def random_system(
     edges.append(Edge("e0", start, rng.choice(vertices[1:]), draw_surface()))
     num_extra = rng.randint(0, max_extra_edges)
     for i in range(1, num_extra + 1):
-        if edges and rng.random() < parallel_chance:
+        if edges and rng.random() < _PARALLEL_CHANCE:
             template = rng.choice(edges)
             src, dst = template.src, template.dst
         else:

@@ -67,10 +67,6 @@ class HornSystem:
             props.add(c.consequent)
         return cls(frozenset(props), rows, rewards, budget)
 
-    @property
-    def clause_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.clauses)
-
     def has_clause(self, clause_id: str) -> bool:
         return clause_id in self._clause_map
 
@@ -82,10 +78,6 @@ class HornSystem:
 
     def reward(self, proposition: str) -> float:
         return self.rewards.get(proposition, 0.0)
-
-    def base_clauses(self) -> tuple[HornClause, ...]:
-        """Clauses without antecedents (the Horn analog of the perimeter)."""
-        return tuple(c for c in self.clauses if not c.antecedents)
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,8 @@ class GraphEmbedding:
 
     Each edge becomes a clause ``{src} -> dst`` with the same id and
     surface; one extra base clause (no antecedents) derives the start
-    vertex and never receives allocation.
+    vertex and never receives allocation.  An edge allocation therefore
+    prices the clauses unchanged.
     """
 
     graph: System
@@ -157,9 +150,6 @@ class GraphEmbedding:
 
     def translate_attack(self, attack: Attack) -> Proof:
         return Proof((self.start_clause,) + attack.path)
-
-    def translate_allocation(self, allocation: DefenseAllocation) -> DefenseAllocation:
-        return DefenseAllocation(dict(allocation.alloc), allocation.budget)
 
 
 def graph_to_horn(system: System) -> GraphEmbedding:

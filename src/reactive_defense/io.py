@@ -22,8 +22,9 @@ or, with ``clauses`` in place of ``edges``, a Horn system::
 Both kinds are read and written from one table of row fields, and
 :func:`~.model.validate_system` checks both.  Unknown keys are rejected.
 Structural problems raise :class:`FileFormatError` with code E-IO
-(unreadable), E-SYNTAX (not parseable) or E-SCHEMA (wrong shape, or a
-number beyond the float range); semantic problems surface as
+(unreadable), E-SYNTAX (not UTF-8, or not parseable, which includes an
+integer past Python's int-string digit limit) or E-SCHEMA (wrong shape,
+or a number beyond the float range); semantic problems surface as
 :class:`~.model.ValidationError` with the model's own codes.
 
 A recorded game becomes three files in one directory: ``trace.csv``
@@ -31,7 +32,8 @@ A recorded game becomes three files in one directory: ``trace.csv``
 ";", simultaneous attacks by "|"), ``allocations.json`` (round index to
 edge amounts) and ``summary.json`` (format version, seed, policy
 descriptors, the embedded system document and totals).  Floats are
-written with ``repr`` so they round-trip binary64 exactly.
+written with ``repr`` so they round-trip binary64 exactly.  Only
+``trace.csv`` is read back, as the move list of a replay.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ def _read_text(path: str | PathLike) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError("E-IO", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError("E-SYNTAX", f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _write_text(path: str | PathLike, text: str) -> None:
@@ -122,7 +126,8 @@ def _write_text(path: str | PathLike, text: str) -> None:
 def _parse_yaml(text: str, source: str):
     try:
         return yaml.safe_load(text)
-    except (yaml.YAMLError, RecursionError) as exc:
+    # ValueError: integers past Python's digit limit, impossible dates.
+    except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise FileFormatError("E-SYNTAX", f"{source}: not parseable YAML ({exc})") from exc
 
 
@@ -212,7 +217,7 @@ def system_from_doc(doc, source: str = "<doc>") -> System | HornSystem:
     """
     if not isinstance(doc, dict):
         _schema(source, f"expected a mapping at top level, got {type(doc).__name__}")
-    version = doc.get("format_version")
+    version = _integer(doc.get("format_version"), "format_version", source)
     if version != SYSTEM_FORMAT_VERSION:
         _schema(source, f"format_version must be {SYSTEM_FORMAT_VERSION}, got {version!r}")
     if ("edges" in doc) == ("clauses" in doc):
@@ -364,14 +369,20 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
 def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRound, ...]:
     """Replayable per-round moves from a trace.csv file."""
     text = _read_text(path)
-    reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header is None:
+    # csv rejects NUL on Python 3.10 only; ids are plain tokens, so refuse it everywhere.
+    if "\0" in text:
+        raise FileFormatError("E-SYNTAX", f"{path}: NUL byte in trace")
+    try:
+        rows = list(csv.reader(text.splitlines()))
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise FileFormatError("E-SYNTAX", f"{path}: not parseable CSV ({exc})") from exc
+    if not rows:
         _schema(str(path), "empty trace file")
+    header = rows[0]
     if tuple(header) != TRACE_COLUMNS:
         _schema(str(path), f"unexpected columns {header!r}, want {list(TRACE_COLUMNS)}")
     moves: list[Attack | MultiAttackRound] = []
-    for line_number, row in enumerate(reader, start=2):
+    for line_number, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(TRACE_COLUMNS):
@@ -394,41 +405,12 @@ def _load_json_mapping(path: str | PathLike) -> dict:
     text = _read_text(path)
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # JSONDecodeError is a ValueError, as is an integer past the digit limit.
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError("E-SYNTAX", f"{path}: not parseable JSON ({exc})") from exc
     if not isinstance(doc, dict):
         _schema(str(path), "expected a mapping at top level")
     return doc
-
-
-def load_summary(path: str | PathLike) -> dict:
-    """Summary document, after checking its trace format version."""
-    doc = _load_json_mapping(path)
-    version = doc.get("trace_format_version")
-    if version != TRACE_FORMAT_VERSION:
-        _schema(
-            str(path),
-            f"trace_format_version must be {TRACE_FORMAT_VERSION}, got {version!r}",
-        )
-    return doc
-
-
-def load_allocations(path: str | PathLike) -> dict[int, dict[str, float]]:
-    """Per-round allocations from an allocations.json file."""
-    doc = _load_json_mapping(path)
-    out: dict[int, dict[str, float]] = {}
-    for key, mapping in doc.items():
-        try:
-            round_index = int(key)
-        except ValueError:
-            _schema(str(path), f"round key {key!r} is not an integer")
-        if not isinstance(mapping, dict):
-            _schema(str(path), f"round {key}: expected a mapping of edge amounts")
-        out[round_index] = {
-            unit: _number(amount, f"round {key}, edge {unit}", str(path))
-            for unit, amount in mapping.items()
-        }
-    return out
 
 
 def load_fixed_allocation(path: str | PathLike, budget: float) -> DefenseAllocation:
@@ -472,7 +454,7 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
     if not isinstance(doc, dict):
         _schema(source, f"expected a mapping at top level, got {type(doc).__name__}")
     _reject_unknown(doc, _CONFIG_KEYS, source)
-    version = doc.get("format_version")
+    version = _integer(doc.get("format_version"), "format_version", source)
     if version != CONFIG_FORMAT_VERSION:
         _schema(source, f"format_version must be {CONFIG_FORMAT_VERSION}, got {version!r}")
 
@@ -494,7 +476,7 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
     alpha = None
     if doc.get("alpha") is not None:
         alpha = _number(doc["alpha"], "alpha", source)
-        if alpha <= 0:
+        if not alpha > 0:
             bad(f"alpha must be positive, got {alpha}")
     if "roa_ratio" in checks and alpha is None:
         bad("the roa_ratio check needs a positive alpha")

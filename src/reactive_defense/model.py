@@ -11,7 +11,7 @@ surface, summed over the path), ``profit`` (payoff minus cost) and ``roa``
 Return-on-attack uses extended-real conventions: positive payoff at zero
 cost is ``math.inf``; zero payoff at positive cost is ``0.0``; the 0/0
 case is a distinguished undefined marker (``math.nan``, test with
-:func:`is_undefined`).
+``math.isnan``).
 
 ``System`` construction is deliberately lenient so that malformed inputs
 can be inspected; :func:`validate_system` reports every violated invariant
@@ -34,11 +34,6 @@ FEASIBILITY_RTOL = 1e-9
 ROA_UNDEFINED = math.nan
 
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
-
-
-def is_undefined(value: float) -> bool:
-    """True iff ``value`` is the undefined return-on-attack marker."""
-    return math.isnan(value)
 
 
 @dataclass(frozen=True)

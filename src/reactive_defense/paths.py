@@ -2,8 +2,8 @@
 
 Attacks are edge-simple (vertices may repeat), so depth-first traversal
 over unused edges terminates and every prefix of a walk is itself a valid
-attack.  ``PathSet`` precomputes payoffs and an incidence matrix once per
-system; per-allocation costs are then a single matrix-vector product,
+attack.  ``PathSet`` precomputes payoffs and a path-by-edge rate matrix
+once per system; per-allocation costs are then a single matrix-vector product,
 which keeps repeated best-response queries cheap inside long games.
 """
 
@@ -63,16 +63,15 @@ def enumerate_attacks(system: System, limit: int = DEFAULT_ENUMERATION_LIMIT) ->
 class PathSet:
     """Precomputed enumeration of a system's attacks.
 
-    ``incidence[i, j]`` is 1 when path ``i`` uses edge ``j`` (system edge
-    order); ``rate_rows = incidence / surface`` turns an allocation vector
-    into per-path costs.  ``attacks`` is in enumeration order, which sorts
+    ``rate_rows[i, j]`` is 1 / surface of edge ``j`` (system edge order)
+    when path ``i`` uses it and 0 otherwise, so it turns an allocation
+    vector into per-path costs.  ``attacks`` is in enumeration order, which sorts
     the edge-id sequences, so an index comparison is a lexicographic one.
     """
 
     system: System
     attacks: tuple[Attack, ...]
     payoffs: np.ndarray
-    incidence: np.ndarray
     rate_rows: np.ndarray
     edge_index: dict[str, int]
 
@@ -82,18 +81,17 @@ class PathSet:
         if not attacks:
             raise ValueError(f"no attacks available from start vertex {system.start!r}")
         edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
-        incidence = np.zeros((len(attacks), len(edge_index)))
+        rate_rows = np.zeros((len(attacks), len(edge_index)))
         for i, attack in enumerate(attacks):
             for eid in attack.path:
-                incidence[i, edge_index[eid]] = 1.0
-        surfaces = np.array([e.surface for e in system.edges])
+                rate_rows[i, edge_index[eid]] = 1.0
+        rate_rows /= np.array([e.surface for e in system.edges])
         payoffs = np.array([payoff(system, a) for a in attacks])
         return cls(
             system=system,
             attacks=attacks,
             payoffs=payoffs,
-            incidence=incidence,
-            rate_rows=incidence / surfaces,
+            rate_rows=rate_rows,
             edge_index=edge_index,
         )
 

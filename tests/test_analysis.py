@@ -19,7 +19,6 @@ from reactive_defense.analysis import (
     exact_two_edge_gap,
     game_value,
     lower_bound_experiment,
-    regret_curve,
     roa_ratio,
     roa_threshold_rounds,
 )
@@ -137,8 +136,9 @@ def test_roa_ratio_undefined_on_free_rides():
     assert math.isnan(report.measured)
     assert not report.satisfied
     assert report.bound_rhs == 1.5
-    with pytest.raises(ValueError, match="alpha"):
-        roa_ratio(trace, alpha=0.0)
+    for alpha in (0.0, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            roa_ratio(trace, alpha=alpha)
 
 
 def test_roa_threshold_rounds():
@@ -155,8 +155,9 @@ def test_roa_threshold_rounds():
     )
     with pytest.raises(ValueError, match="at least two edges"):
         roa_threshold_rounds(System.build(edges=[("e", "s", "a", 1.0)]), alpha=1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        roa_threshold_rounds(chain, alpha=-1.0)
+    for alpha in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            roa_threshold_rounds(chain, alpha=alpha)
     detached = System.build(
         edges=[("e1", "a", "b", 1.0), ("e2", "b", "c", 1.0)], start="s"
     )
@@ -261,22 +262,3 @@ def test_lower_bound_loop_matches_engine():
     stats = lower_bound_experiment(rounds=rounds, num_seeds=3, base_seed=base_seed)
     assert stats.mean_played_cost == fmean(played)
     assert stats.mean_hindsight_cost == fmean(hindsight)
-
-
-def test_regret_curve_prefixes():
-    system = fixture("appendix_b")
-    moves = [Attack(("e1",)), Attack(("e2",)), Attack(("e1",)), Attack(("e1",))]
-    trace = run_game(
-        system, ReactiveDefender(), FixedSequenceAttacker(moves), rounds=4
-    )
-    curve = regret_curve(trace)
-    assert curve.rounds == (1, 2, 3, 4)
-    # round 1 is undefended, so its regret is the full hindsight cost
-    assert curve.measured[0] == 1.0
-    assert curve.bound[0] == pytest.approx(
-        math.sqrt(math.log(2.0) / 2.0) + math.log(2.0) + 1.0, rel=1e-12
-    )
-    final = profit_regret(trace)
-    assert curve.measured[-1] == pytest.approx(final.measured, rel=1e-12)
-    assert curve.bound[-1] == pytest.approx(final.bound_rhs, rel=1e-12)
-    assert all(b2 < b1 for b1, b2 in zip(curve.bound, curve.bound[1:]))

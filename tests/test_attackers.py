@@ -18,7 +18,6 @@ from reactive_defense.attackers import (
     MultiAttacker,
     ObliviousAttacker,
     RandomPathAttacker,
-    aggregate_multi_attack,
     best_response,
     random_parallel_attack,
     select_best_response,
@@ -279,17 +278,6 @@ def test_random_parallel_attack():
         random_parallel_attack(System.build(edges=[], start="s"), rng)
 
 
-def test_aggregate_multi_attack_masses():
-    round_ = MultiAttackRound((Attack(("e1",)), Attack(("e1", "e2"))))
-    masses = aggregate_multi_attack(round_)
-    assert masses == {"e1": 2.0 / 3.0, "e2": 1.0 / 3.0}
-    assert sum(masses.values()) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="at least one attack"):
-        MultiAttackRound(())
-    with pytest.raises(ValueError, match="no attacked edges"):
-        aggregate_multi_attack(MultiAttackRound((Attack(()),)))
-
-
 def test_best_response_attacker_policy():
     system = fixture("fig2")
     attacker = BestResponseAttacker("roa")
@@ -360,6 +348,8 @@ def test_multi_attacker_flattens_members():
     assert len(described["members"]) == 2
     with pytest.raises(ValueError, match="at least one member"):
         MultiAttacker([])
+    with pytest.raises(ValueError, match="at least one attack"):
+        MultiAttackRound(())
 
 
 def test_nested_multi_attacker_flattens_recursively():

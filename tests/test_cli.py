@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -261,6 +262,52 @@ def test_simulate_rejects_deeply_nested_fixed_allocation(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("where", ["system", "config", "fixed"])
+def test_integers_past_the_digit_limit_are_syntax_errors(tmp_path, capsys, where):
+    # 5001 digits: past Python's int-string limit, so the parser itself fails
+    big = "1" + "0" * 5000
+    if where == "system":
+        path = tmp_path / "big.yaml"
+        path.write_text(
+            f"format_version: 1\nstart: s\nbudget: {big}\n"
+            "edges: [{id: e, src: s, dst: a, surface: 1.0}]\n"
+        )
+        argv = ["simulate", "--system", str(path), "-T", "2"]
+    elif where == "config":
+        path = _write_config(tmp_path)
+        with path.open("a") as fh:
+            fh.write(f"seed: {big}\n")
+        argv = ["verify-bounds", "--config", str(path)]
+    else:
+        path = tmp_path / "big.json"
+        path.write_text('{"left": %s}' % big)
+        argv = ["simulate", "--system", "fig2", "--defender", f"fixed:{path}", "-T", "2"]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "[E-SYNTAX]" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_rejects_replay_trace_with_nul_byte(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,attack,cost,payoff,revealed,beta\n1,le\x00ft,0.0,0.0,,\n")
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--system",
+        "fig2",
+        "--attacker",
+        f"replay:{trace}",
+        "-T",
+        "2",
+        "--out",
+        str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "[E-SYNTAX]" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_on_chain_deeper_than_recursion_limit(tmp_path, capsys):
     depth = sys.getrecursionlimit() + 200
     doc = {
@@ -459,6 +506,14 @@ def test_verify_bounds_violation_exits_3(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "verify-bounds", "--config", str(config))
     assert code == 3
     assert "FAIL roa-ratio" in stdout
+
+
+def test_verify_bounds_rejects_nan_alpha(tmp_path, capsys):
+    config = _write_config(tmp_path, alpha=math.nan, checks=["roa_ratio"])
+    code, stdout, err = run_cli(capsys, "verify-bounds", "--config", str(config))
+    assert code == 2
+    assert "[E-CONFIG]" in err and "alpha must be positive" in err
+    assert "roa-ratio" not in stdout
 
 
 def test_verify_bounds_config_errors(tmp_path, capsys):

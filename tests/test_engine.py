@@ -173,11 +173,11 @@ def test_population_round_logs_means():
         rounds=2,
     )
     first = trace.records[0]
-    assert first.is_multi
+    assert len(first.attacks) > 1
     assert first.payoff == (1.0 + 10.0) / 2.0
     assert first.cost == (3.0 + 6.0) / 2.0
     assert round_edge_usage(first.attacks) == {"left": 0.5, "right": 0.5}
-    assert not trace.records[1].is_multi
+    assert len(trace.records[1].attacks) == 1
 
 
 def test_edge_usage_weighs_population_rounds():

@@ -31,9 +31,9 @@ from reactive_defense.model import (
 
 def test_horn_chain_shape():
     system = fixture("horn_chain")
-    assert system.clause_ids == ("boot", "escalate", "exfil")
+    assert tuple(c.id for c in system.clauses) == ("boot", "escalate", "exfil")
     assert system.budget == 2.0
-    assert [c.id for c in system.base_clauses()] == ["boot"]
+    assert [c.id for c in system.clauses if not c.antecedents] == ["boot"]
     assert system.clause("exfil").antecedents == frozenset({"foothold", "admin"})
     assert system.reward("data") == 5.0
     assert validate_system(system) == []
@@ -111,9 +111,8 @@ def test_graph_embedding_preserves_functionals():
     assert proof.clauses == ("derive-start", "left", "right")
 
     alloc = DefenseAllocation({"left": 4.0, "right": 2.0}, budget=10.0)
-    translated = embedding.translate_allocation(alloc)
     assert horn_payoff(embedding.horn, proof) == payoff(system, attack)
-    assert horn_cost(embedding.horn, proof, translated) == cost(system, attack, alloc)
+    assert horn_cost(embedding.horn, proof, alloc) == cost(system, attack, alloc)
 
 
 def test_graph_embedding_on_random_systems():
@@ -125,12 +124,11 @@ def test_graph_embedding_on_random_systems():
         alloc = DefenseAllocation(
             {e.id: alloc_amount / 2.0 for e in system.edges}, system.budget
         )
-        translated = embedding.translate_allocation(alloc)
         for attack in attack_sequence(system, rng, 5):
             proof = embedding.translate_attack(attack)
             validate_proof(embedding.horn, proof)
             assert horn_payoff(embedding.horn, proof) == payoff(system, attack)
-            assert horn_cost(embedding.horn, proof, translated) == pytest.approx(
+            assert horn_cost(embedding.horn, proof, alloc) == pytest.approx(
                 cost(system, attack, alloc), abs=1e-12
             )
 

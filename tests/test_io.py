@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,11 +18,11 @@ from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, ru
 from reactive_defense.attackers import FixedSequenceAttacker, MultiAttackRound
 from reactive_defense.defenders import FixedDefender
 from reactive_defense.io import (
+    TRACE_COLUMNS,
     FileFormatError,
-    load_allocations,
     load_attack_sequence,
     load_config,
-    load_summary,
+    load_fixed_allocation,
     load_system,
     resolve_system,
     save_system,
@@ -164,6 +168,8 @@ def test_load_system_semantic_errors(tmp_path):
             {"format_version": 1, "budget": 1, "clauses": [], "start": "s"},
             r"unknown keys \['start'\]",
         ),
+        ({"format_version": True, "edges": []}, "'format_version' must be an integer"),
+        ({"format_version": 1.0, "edges": []}, "'format_version' must be an integer"),
     ],
 )
 def test_system_from_doc_schema_errors(doc, fragment):
@@ -294,16 +300,17 @@ def test_write_trace_files(tmp_path):
 def test_trace_allocations_round_trip(tmp_path):
     trace = _play()
     paths = write_trace(trace, tmp_path)
-    allocations = load_allocations(paths["allocations"])
-    assert set(allocations) == set(range(1, trace.rounds + 1))
+    allocations = json.loads(paths["allocations"].read_text())
+    assert list(allocations) == [str(t) for t in range(1, trace.rounds + 1)]
     for record in trace.records:
-        assert allocations[record.round_index] == dict(record.allocation.alloc)
+        assert allocations[str(record.round_index)] == dict(record.allocation.alloc)
 
 
 def test_trace_summary_round_trip(tmp_path):
     trace = _play()
     paths = write_trace(trace, tmp_path)
-    summary = load_summary(paths["summary"])
+    summary = json.loads(paths["summary"].read_text())
+    assert summary["trace_format_version"] == 1
     assert summary["seed"] == 0
     assert summary["rounds"] == trace.rounds
     assert summary["defender"] == {"policy": "reactive-hidden", "schedule": "round-adaptive"}
@@ -336,7 +343,7 @@ def test_population_trace_round_trip(tmp_path):
     assert isinstance(move, MultiAttackRound)
     assert move == round_
     # an all-zero defense concedes infinite cumulative return
-    summary = load_summary(paths["summary"])
+    summary = json.loads(paths["summary"].read_text())
     assert math.isinf(summary["totals"]["cumulative_roa"])
 
 
@@ -365,33 +372,21 @@ def test_load_attack_sequence_schema_errors(tmp_path):
         load_attack_sequence(no_rounds)
 
 
-def test_load_summary_version_check(tmp_path):
-    trace = _play(rounds=2)
-    paths = write_trace(trace, tmp_path)
-    doc = json.loads(paths["summary"].read_text())
-    doc["trace_format_version"] = 99
-    paths["summary"].write_text(json.dumps(doc))
-    with pytest.raises(FileFormatError, match="trace_format_version"):
-        load_summary(paths["summary"])
-
-    not_json = tmp_path / "bad.json"
-    not_json.write_text("{nope")
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,e\x001,0.0,0.0,,",
+        # one field past csv's default field size limit
+        "1," + "e" * (csv.field_size_limit() + 1) + ",0.0,0.0,,",
+    ],
+    ids=["nul", "field-limit"],
+)
+def test_load_attack_sequence_syntax_errors(tmp_path, row):
+    path = tmp_path / "t.csv"
+    path.write_text("t,attack,cost,payoff,revealed,beta\n" + row + "\n")
     with pytest.raises(FileFormatError) as err:
-        load_summary(not_json)
+        load_attack_sequence(path)
     assert err.value.code == "E-SYNTAX"
-
-
-def test_load_allocations_schema_errors(tmp_path):
-    path = tmp_path / "alloc.json"
-    path.write_text('{"не-int": {"e": 1.0}}')
-    with pytest.raises(FileFormatError, match="not an integer"):
-        load_allocations(path)
-    path.write_text('{"1": {"e": true}}')
-    with pytest.raises(FileFormatError, match="must be a number"):
-        load_allocations(path)
-    path.write_text('{"1": [1, 2]}')
-    with pytest.raises(FileFormatError, match="mapping of edge amounts"):
-        load_allocations(path)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +403,6 @@ def _write_config(tmp_path, **overrides):
     }
     doc.update(overrides)
     doc = {k: v for k, v in doc.items() if v is not None}
-    import yaml
-
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -452,9 +445,90 @@ def test_load_config_full(tmp_path):
         ({"attacker": None}, "E-SCHEMA", "'attacker'"),
         ({"format_version": 7}, "E-SCHEMA", "format_version"),
         ({"rounds": True}, "E-SCHEMA", "must be an integer"),
+        ({"format_version": True}, "E-SCHEMA", "'format_version' must be an integer"),
+        ({"format_version": 1.0}, "E-SCHEMA", "'format_version' must be an integer"),
+        ({"alpha": math.nan}, "E-CONFIG", "alpha must be positive"),
     ],
 )
 def test_load_config_errors(tmp_path, overrides, code, fragment):
     with pytest.raises(FileFormatError, match=fragment) as err:
         load_config(_write_config(tmp_path, **overrides))
     assert err.value.code == code
+
+
+# ---------------------------------------------------------------------------
+# fuzzed files: each reader raises FileFormatError and nothing else
+
+
+def _read_fuzzed(reader, data: str | bytes) -> None:
+    """Call ``reader`` on a file holding ``data``; a ``FileFormatError``
+    is the expected outcome for malformed input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        try:
+            reader(path)
+        except FileFormatError:
+            pass
+
+
+_RAW = st.text(max_size=40) | st.binary(max_size=40)
+# Scalars that the YAML and JSON parsers turn into ValueError: integers
+# past Python's int-string digit limit and impossible dates.
+_BAD_SCALARS = st.integers(4290, 4310).map(lambda n: "1" + "0" * n) | st.from_regex(
+    r"\A[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}\Z"
+)
+_CONFIG_DOCS = st.fixed_dictionaries(
+    {
+        "format_version": st.just(1) | _VALUES,
+        "system": _NAMES | _VALUES,
+        "defender": _NAMES | _VALUES,
+        "attacker": _NAMES | _VALUES,
+        "rounds": st.integers() | _VALUES,
+    },
+    optional={
+        "seed": st.integers() | _VALUES,
+        "alpha": _NUMBERS | _VALUES,
+        "checks": st.lists(st.sampled_from(["profit_regret", "roa_ratio", "x"])) | _VALUES,
+        "name": _NAMES | _VALUES,
+        "extra": _VALUES,
+    },
+)
+_CSV_ROWS = st.lists(
+    st.lists(st.text(alphabet="ab;|,\"\r\n\x00 ", max_size=5), max_size=7), max_size=4
+)
+
+
+@given(
+    _CONFIG_DOCS.map(yaml.safe_dump)
+    | st.builds("{}: {}\n".format, st.sampled_from(["rounds", "seed", "alpha"]), _BAD_SCALARS)
+    | _RAW
+)
+@settings(max_examples=200, deadline=None)
+def test_load_config_raises_only_format_errors(text):
+    _read_fuzzed(load_config, text)
+
+
+@given(st.booleans(), _CSV_ROWS | _RAW)
+@settings(max_examples=200, deadline=None)
+def test_load_attack_sequence_raises_only_format_errors(with_header, body):
+    if isinstance(body, list):
+        body = "\n".join(",".join(row) for row in body)
+    if with_header and isinstance(body, str):
+        body = ",".join(TRACE_COLUMNS) + "\n" + body
+    _read_fuzzed(load_attack_sequence, body)
+
+
+@given(
+    st.dictionaries(_NAMES, _VALUES, max_size=3).map(json.dumps)
+    | _VALUES.map(json.dumps)
+    | _BAD_SCALARS.map('{{"e": {}}}'.format)
+    | _RAW
+)
+@settings(max_examples=200, deadline=None)
+def test_load_fixed_allocation_raises_only_format_or_feasibility_errors(text):
+    try:
+        _read_fuzzed(lambda path: load_fixed_allocation(path, 1.0), text)
+    except ValueError as exc:
+        # DefenseAllocation's own checks on well-formed amounts
+        assert re.search("negative or NaN allocation|exceeds budget", str(exc)), exc

@@ -23,7 +23,6 @@ from reactive_defense.model import (
     cost,
     cumulative_roa,
     ensure_valid_system,
-    is_undefined,
     payoff,
     profit,
     restrict_edges,
@@ -113,7 +112,7 @@ def test_roa_extended_real_conventions():
     bare = System.build(edges=[("e", "s", "a", 1.0)], budget=1.0)
     assert roa(bare, Attack(("e",)), DefenseAllocation({"e": 1.0}, 1.0)) == 0.0
     marker = roa(bare, Attack(("e",)), zero_allocation(1.0))
-    assert is_undefined(marker)
+    assert math.isnan(marker)
     with pytest.raises(ValueError):
         roa(system, Attack(()), free)
 
@@ -125,7 +124,7 @@ def test_cumulative_roa_matches_fraction_oracle():
     assert cumulative_roa(payoffs, costs) == pytest.approx(float(oracle), rel=1e-15)
     assert cumulative_roa([0.0], [1.0]) == 0.0
     assert cumulative_roa([1.0], [0.0]) == math.inf
-    assert is_undefined(cumulative_roa([0.0, 0.0], [0.0, 0.0]))
+    assert math.isnan(cumulative_roa([0.0, 0.0], [0.0, 0.0]))
     with pytest.raises(ValueError):
         cumulative_roa([], [])
     with pytest.raises(ValueError):
