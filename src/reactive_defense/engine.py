@@ -14,7 +14,11 @@ per-game dict keyed by path and only price the attack under the round's
 allocation.  An invalid path is never stored, so it is rejected whenever
 it is played.
 
-Traces are reproducible bit-for-bit from (system, policies, rounds, seed).
+Traces are reproducible bit-for-bit from (system, policies, rounds, seed)
+on one BLAS kernel.  Best responses price every path with one
+matrix-vector product (``PathSet.costs``), whose rounding depends on the
+kernel OpenBLAS picks for the CPU and on the path's row, so a near-tie
+between attacks can break differently on another machine.
 """
 
 from __future__ import annotations

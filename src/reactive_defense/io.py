@@ -30,10 +30,12 @@ or a number beyond the float range); semantic problems surface as
 A recorded game becomes three files in one directory: ``trace.csv``
 (columns t, attack, cost, payoff, revealed, beta; attack steps joined by
 ";", simultaneous attacks by "|"), ``allocations.json`` (round index to
-edge amounts) and ``summary.json`` (format version, seed, policy
-descriptors, the embedded system document and totals).  Floats are
-written with ``repr`` so they round-trip binary64 exactly.  Only
-``trace.csv`` is read back, as the move list of a replay.
+edge amounts, ids sorted, laid out as ``json.dumps(..., indent=2)``) and
+``summary.json`` (format version, seed, policy descriptors, the embedded
+system document and totals).  The first two are streamed a round at a
+time, so writing them takes memory independent of the game's length.
+Floats are written with ``repr`` so they round-trip binary64 exactly.
+Only ``trace.csv`` is read back, as the move list of a replay.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ CONFIG_FORMAT_VERSION = 1
 TRACE_COLUMNS = ("t", "attack", "cost", "payoff", "revealed", "beta")
 
 KNOWN_CHECKS = ("profit_regret", "roa_ratio")
+
+# One round of allocations.json: with indent None the C encoder runs, and
+# write_trace wraps its output in the layout of json.dumps(..., indent=2).
+_ROUND_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), sort_keys=True)
 
 _COMMON_KEYS = {"format_version", "name", "description", "budget", "rewards"}
 # Per back end, keyed by its rows key: the key of its extra names and the
@@ -114,6 +120,8 @@ def _read_text(path: str | PathLike) -> str:
         raise FileFormatError("E-IO", f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FileFormatError("E-SYNTAX", f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # a path with a NUL byte
+        raise FileFormatError("E-IO", f"cannot read {str(path)!r}: {exc}") from exc
 
 
 def _write_text(path: str | PathLike, text: str) -> None:
@@ -339,12 +347,18 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
     except OSError as exc:
         raise FileFormatError("E-IO", f"cannot write {trace_path}: {exc}") from exc
 
-    allocations = {
-        str(r.round_index): dict(sorted(r.allocation.alloc.items()))
-        for r in trace.records
-    }
     alloc_path = out / "allocations.json"
-    _write_text(alloc_path, json.dumps(allocations, indent=2) + "\n")
+    try:
+        with open(alloc_path, "w", encoding="utf-8") as fh:
+            sep = "{\n"
+            for r in trace.records:
+                body = _ROUND_ENCODER.encode(dict(r.allocation.alloc))[1:-1]
+                amounts = f"{{\n    {body}\n  }}" if body else "{}"
+                fh.write(f'{sep}  "{r.round_index}": {amounts}')
+                sep = ",\n"
+            fh.write("\n}\n" if trace.records else "{}\n")
+    except OSError as exc:
+        raise FileFormatError("E-IO", f"cannot write {alloc_path}: {exc}") from exc
 
     costs = trace.costs()
     payoffs = trace.payoffs()

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reactive_defense
 from reactive_defense import fixture
@@ -537,6 +542,51 @@ def test_verify_bounds_rejects_deeply_nested_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify-bounds", "--config", str(config))
     assert code == 2
     assert "E-SYNTAX" in err
+
+
+@pytest.mark.parametrize(
+    "field, spec", [("defender", "fixed:a\0b.json"), ("attacker", "replay:a\0b.csv")]
+)
+def test_verify_bounds_rejects_policy_path_with_nul_byte(tmp_path, capsys, field, spec):
+    config = _write_config(tmp_path, **{field: spec})
+    code, _, err = run_cli(capsys, "verify-bounds", "--config", str(config))
+    assert code == 2
+    assert "[E-IO]" in err
+
+
+_SPEC_TEXT = st.text(alphabet="ab0.,:+\0\"' -", max_size=8)
+_PREFIXES = ["", "fixed:", "replay:", "known:", "mincut:", "multi:", "oblivious-roa:"]
+
+
+def _spec(names):
+    return st.sampled_from(names) | st.builds(
+        str.__add__, st.sampled_from(_PREFIXES + names), _SPEC_TEXT
+    )
+
+
+@given(
+    _spec(["fig2", "appendix_b", "horn_chain"]),
+    _spec(["reactive", "known", "uniform", "myopic", "mincut:db"]),
+    _spec(["best-roa", "best-profit", "random", "multi:random+best-roa"]),
+)
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:ceilings assume surfaces")
+def test_verify_bounds_policy_specs_never_exit_1(system, defender, attacker):
+    doc = {
+        "format_version": 1,
+        "system": system,
+        "defender": defender,
+        "attacker": attacker,
+        "rounds": 3,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ) as err:
+            code = main(["verify-bounds", "--config", str(config)])
+    assert code != 1, err.getvalue()
 
 
 def test_build_defender_specs(tmp_path):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 import yaml
@@ -15,8 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
-from reactive_defense.attackers import FixedSequenceAttacker, MultiAttackRound
-from reactive_defense.defenders import FixedDefender
+from reactive_defense.attackers import (
+    FixedSequenceAttacker,
+    MultiAttacker,
+    MultiAttackRound,
+    RandomPathAttacker,
+)
+from reactive_defense.defenders import FixedDefender, KnownEdgesDefender
+from reactive_defense.engine import GameTrace, RoundRecord
+from reactive_defense.generators import random_system
 from reactive_defense.io import (
     TRACE_COLUMNS,
     FileFormatError,
@@ -30,7 +40,7 @@ from reactive_defense.io import (
     system_to_doc,
     write_trace,
 )
-from reactive_defense.model import Attack, ValidationError, zero_allocation
+from reactive_defense.model import Attack, DefenseAllocation, ValidationError, zero_allocation
 from reactive_defense.fixtures import FIXTURES
 
 
@@ -304,6 +314,76 @@ def test_trace_allocations_round_trip(tmp_path):
     assert list(allocations) == [str(t) for t in range(1, trace.rounds + 1)]
     for record in trace.records:
         assert allocations[str(record.round_index)] == dict(record.allocation.alloc)
+
+
+def _indent2_allocations(trace: GameTrace) -> str:
+    """allocations.json as the whole-document pure-Python encoder writes it."""
+    allocations = {
+        str(r.round_index): dict(sorted(r.allocation.alloc.items()))
+        for r in trace.records
+    }
+    return json.dumps(allocations, indent=2) + "\n"
+
+
+def _hand_trace(allocs: list[dict]) -> GameTrace:
+    system = fixture("fig2")
+    records = tuple(
+        RoundRecord(t, DefenseAllocation(alloc, 1e30), (Attack(("left",)),), 0.0, 1.0, (), None)
+        for t, alloc in enumerate(allocs, start=1)
+    )
+    return GameTrace(system, records, {"policy": "hand"}, {"policy": "hand"}, 0)
+
+
+def _wide_known_game(rounds: int) -> GameTrace:
+    system = random_system(Random(29), 80, 40)
+    assert len(system.edges) == 77
+    attacker = MultiAttacker([RandomPathAttacker() for _ in range(4)])
+    return run_game(system, KnownEdgesDefender(), attacker, rounds, seed=29)
+
+
+@pytest.mark.parametrize(
+    "allocs",
+    [
+        [{}],
+        [{"e1": 0.25}],
+        [{}, {"e1": 1, "e2": True, "e3": False, "e4": 0}, {}],
+        [{'q"uote': 0.5, "back\\slash": 1e-300, "caf\u00e9": 2.5, "\u2603\n": 1e22}],
+        [{"e9": 0.1, "e10": 0.2, "e1": 0.3, "e100": 1 / 3}] * 11,
+    ],
+    ids=["empty-round", "one-record", "int-bool", "escaped-keys", "e10-before-e9"],
+)
+def test_allocations_match_indent2_encoder(tmp_path, allocs):
+    trace = _hand_trace(allocs)
+    written = write_trace(trace, tmp_path)["allocations"].read_text(encoding="utf-8")
+    assert written == _indent2_allocations(trace)
+
+
+def test_allocations_of_zero_records_match_indent2_encoder(tmp_path):
+    trace = _hand_trace([])
+    # allocations.json is written before summary.json, whose cumulative
+    # return ratio is undefined without a round
+    with contextlib.suppress(ValueError):
+        write_trace(trace, tmp_path)
+    assert (tmp_path / "allocations.json").read_text() == _indent2_allocations(trace) == "{}\n"
+
+
+def test_wide_known_game_allocations_match_indent2_encoder(tmp_path):
+    trace = _wide_known_game(40)
+    written = write_trace(trace, tmp_path)["allocations"].read_text(encoding="utf-8")
+    assert written == _indent2_allocations(trace)
+
+
+def test_write_trace_memory_stays_below_file_size(tmp_path):
+    trace = _wide_known_game(500)
+    tracemalloc.start()
+    try:
+        paths = write_trace(trace, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = paths["allocations"].stat().st_size
+    assert size >= 1_000_000
+    assert peak < size / 2, (peak, size)
 
 
 def test_trace_summary_round_trip(tmp_path):
