@@ -17,7 +17,7 @@ from reactive_defense import (
 )
 from reactive_defense.attackers import RandomPathAttacker
 from reactive_defense.generators import random_system
-from reactive_defense.paths import EnumerationLimitError, enumerate_attacks
+from reactive_defense.paths import EnumerationLimitError, PathSet
 
 ATTACKERS = {
     "best-roa": lambda: BestResponseAttacker("roa"),
@@ -45,7 +45,7 @@ def main() -> int:
             return 1
         system = random_system(random.Random(system_seed))
         try:
-            enumerate_attacks(system, limit=2000)
+            PathSet.enumerate(system, limit=2000)
         except EnumerationLimitError:
             continue
         produced += 1

@@ -9,7 +9,8 @@ starts it with an empty domain that attacks grow, at an annealed rate;
 the known-edges defender starts it with every edge, at a fixed rate.
 
 Proactive alternatives live alongside it: minimum-cut perimeter defense,
-minimax allocations for the return-on-attack and profit objectives, the
+minimax allocations for the return-on-attack and profit objectives (the
+LP's dual solved by a dense numpy simplex; no solver library), the
 hindsight-optimal fixed allocation, and the uniform and myopic baselines.
 """
 
@@ -238,72 +239,119 @@ def minimax_proactive_defense(
 ) -> MinimaxResult:
     """Fixed allocation minimizing the attacker's best achievable objective.
 
-    Attacks are enumerated (up to ``limit``) and the minimax program is
-    solved as a linear program over the allocation.  For ``objective="roa"``
-    the program maximizes ``z`` subject to ``cost(a, d) >= z * payoff(a)``
-    for every attack with positive payoff; the conceded value is ``1/z``
-    (infinite if no feasible ``z > 0`` exists).  For ``objective="profit"``
-    it minimizes the maximum of ``payoff(a) - cost(a, d)`` and zero, the
-    floor reflecting that an attacker can always abstain.
+    The minimax LP over the enumerated attacks (up to ``limit``) is solved
+    through its dual, whose shadow prices are the allocation.  ``"roa"``:
+    min sum(u) s.t. rate(a) . u >= payoff(a) for positive payoffs, u >= 0,
+    played as budget * u / sum(u).  ``"profit"``: min t s.t. t + rate(a) . d
+    >= payoff(a), sum(d) <= budget, t, d >= 0 (an attacker may abstain).
+    The value is the allocation's worst case over the attacks, and
+    RuntimeError is raised unless the dual optimum matches it.
     """
-    # scipy costs about half a second to import, so only this solve loads it.
-    from scipy.optimize import linprog
-
     if objective not in ("roa", "profit"):
         raise ValueError(f"unknown objective {objective!r}")
     pathset = PathSet.enumerate(system, limit)
-    num_edges = len(system.edges)
-    budget_row = np.concatenate([np.ones(num_edges), [0.0]])
+    payoffs, rates, budget = pathset.payoffs, pathset.rate_rows, system.budget
+    if not (payoffs > 0).any():
+        # Nothing is worth attacking; any feasible allocation concedes 0.
+        return MinimaxResult(zero_allocation(budget), 0.0, objective)
+    num_edges, num_attacks = rates.shape[1], len(payoffs)
     if objective == "roa":
-        mask = pathset.payoffs > 0
-        if not mask.any():
-            # Nothing is worth attacking; any feasible allocation concedes 0.
-            return MinimaxResult(zero_allocation(system.budget), 0.0, "roa")
-        a_ub = np.vstack(
-            [
-                np.hstack([-pathset.rate_rows[mask], pathset.payoffs[mask][:, None]]),
-                budget_row,
-            ]
+        payoffs, rates = payoffs[payoffs > 0], rates[payoffs > 0]
+        u, bound = _max_shadow_prices(
+            (rates / payoffs[:, None]).T, np.ones(num_edges), np.ones(len(payoffs))
         )
-        b_ub = np.concatenate([np.zeros(int(mask.sum())), [system.budget]])
-        cost_vector = np.zeros(num_edges + 1)
-        cost_vector[-1] = -1.0
+        allocation = _solution_allocation(budget * u / u.sum(), system)
+        with np.errstate(divide="ignore"):
+            value = float((payoffs / (rates @ pathset.allocation_vector(allocation))).max())
+        scale = bound = bound / budget
     else:
-        a_ub = np.vstack(
-            [
-                np.hstack([-pathset.rate_rows, -np.ones((len(pathset.attacks), 1))]),
-                budget_row,
-            ]
+        matrix = np.block(
+            [[np.ones((1, num_attacks)), np.zeros((1, 1))], [rates.T, -np.ones((num_edges, 1))]]
         )
-        b_ub = np.concatenate([-pathset.payoffs, [system.budget]])
-        cost_vector = np.zeros(num_edges + 1)
-        cost_vector[-1] = 1.0
-    result = linprog(
-        cost_vector,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0.0, None)] * (num_edges + 1),
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(f"minimax solve failed: {result.message}")
-    allocation = _solution_allocation(result.x[:num_edges], system)
-    if objective == "roa":
-        z = result.x[-1]
-        value = math.inf if z <= 0 else 1.0 / z
-    else:
-        value = float(result.x[-1])
+        prices, bound = _max_shadow_prices(
+            matrix, np.eye(num_edges + 1)[0], np.append(payoffs, -budget)
+        )
+        # Prices are accurate to the payoffs' scale; where the budget is far
+        # smaller, their total may overshoot it and is cut back.
+        d = prices[1:] * min(1.0, budget / max(prices[1:].sum(), budget))
+        allocation = _solution_allocation(d, system)
+        value = max(0.0, float((payoffs - pathset.costs(allocation)).max()))
+        scale = float(payoffs.max())
+    if not abs(value - bound) <= 1e-9 * scale:
+        raise RuntimeError(f"minimax solve failed: value {value!r}, dual bound {bound!r}")
     return MinimaxResult(allocation, value, objective)
 
 
+def _max_shadow_prices(
+    matrix: np.ndarray, rhs: np.ndarray, gains: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Shadow prices of the rows and the optimum of max gains . x s.t.
+    matrix x <= rhs, x >= 0, for rhs >= 0 and some gain positive: a
+    one-phase tableau simplex from the slack basis on rows and columns
+    scaled to entries near 1, pivoting on the most negative reduced cost
+    (Dantzig) until the objective stalls, then on the lowest index, which
+    cannot cycle (Bland 1977).  The prices are solved on the final basis.
+    """
+    rows, cols = matrix.shape
+    magnitude = np.abs(matrix)
+    row_scale, col_scale = np.ones(rows), np.ones(cols)
+    for _ in range(4):
+        row_scale /= _spread_mean(magnitude * row_scale[:, None] * col_scale, 1)
+        col_scale /= _spread_mean(magnitude * row_scale[:, None] * col_scale, 0)
+    scaled = matrix * row_scale[:, None] * col_scale
+    costs = gains * col_scale
+    # Empty rows never bind, so they must not set the scale of the levels.
+    levels = rhs * row_scale * (magnitude.max(axis=1) > 0)
+    tableau = np.zeros((rows + 1, cols + rows + 1))
+    tableau[:-1] = np.hstack([scaled, np.eye(rows), levels[:, None] / levels.max()])
+    tableau[-1, :cols] = -costs / costs.max()
+    basis = np.arange(cols, cols + rows)
+    tol = 1e-12
+    stalled = 0
+    for _ in range(50 * (rows + cols)):
+        reduced = tableau[-1, :-1]
+        bland = stalled > rows
+        enter = int(np.argmax(reduced < -tol) if bland else np.argmin(reduced))
+        if not reduced[enter] < -tol:
+            break
+        column = tableau[:-1, enter]
+        candidates = np.flatnonzero(column > tol)
+        if not candidates.size:
+            raise RuntimeError("minimax solve failed: the dual is unbounded")
+        ratios = np.maximum(tableau[candidates, -1], 0.0) / column[candidates]
+        ties = candidates[ratios <= ratios.min() + tol]
+        leave = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(column[ties])]
+        before = tableau[-1, -1]
+        pivot_row = tableau[leave] / tableau[leave, enter]
+        tableau -= np.outer(tableau[:, enter], pivot_row)
+        tableau[leave] = pivot_row
+        basis[leave] = enter
+        stalled = 0 if tableau[-1, -1] > before + tol else stalled + 1
+    else:
+        raise RuntimeError("minimax solve failed: iteration limit reached")
+    # Rows whose slack is basic price at exactly zero; the basic columns
+    # over the other rows form a square system for the rest.
+    tight = ~np.isin(np.arange(cols, cols + rows), basis)
+    structural = basis[basis < cols]
+    square = scaled[np.ix_(tight, structural)]
+    prices = np.zeros(rows)
+    prices[tight] = np.linalg.solve(square.T, costs[structural])
+    x = np.linalg.solve(square, levels[tight]).clip(0.0) * col_scale[structural]
+    return prices.clip(0.0) * row_scale, float(gains[structural] @ x)
+
+
+def _spread_mean(magnitude: np.ndarray, axis: int) -> np.ndarray:
+    """Geometric mean of the largest and the smallest nonzero magnitude
+    along ``axis``; 1 where every magnitude is zero."""
+    top = magnitude.max(axis=axis)
+    low = np.where(magnitude > 0, magnitude, np.inf).min(axis=axis)
+    return np.where(top > 0, np.sqrt(top * np.minimum(low, top)), 1.0)
+
+
 def _solution_allocation(vector: np.ndarray, system: System) -> DefenseAllocation:
-    # Solver residue below the feasibility tolerance is dropped.
-    tiny = 1e-11 * max(1.0, system.budget)
-    alloc = {
-        e.id: float(amount)
-        for e, amount in zip(system.edges, vector)
-        if amount > tiny
-    }
+    # Rounding residue of zero prices is dropped.
+    tiny = 1e-12 * vector.max()
+    alloc = {e.id: float(amount) for e, amount in zip(system.edges, vector) if amount > tiny}
     return DefenseAllocation(alloc, system.budget)
 
 

@@ -320,8 +320,11 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
 
     Returns the three paths keyed as "trace", "allocations", "summary".
     ``cumulative_roa`` in the summary may serialize as the JSON extensions
-    ``Infinity`` or ``NaN``, which Python's reader accepts back.
+    ``Infinity`` or ``NaN``, which Python's reader accepts back.  A trace
+    without rounds is refused with ``ValueError`` before any file is made.
     """
+    if not trace.records:
+        raise ValueError("cannot write a trace with no rounds")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -356,7 +359,7 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
                 amounts = f"{{\n    {body}\n  }}" if body else "{}"
                 fh.write(f'{sep}  "{r.round_index}": {amounts}')
                 sep = ",\n"
-            fh.write("\n}\n" if trace.records else "{}\n")
+            fh.write("\n}\n")
     except OSError as exc:
         raise FileFormatError("E-IO", f"cannot write {alloc_path}: {exc}") from exc
 

@@ -9,11 +9,12 @@ which keeps repeated best-response queries cheap inside long games.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Attack, DefenseAllocation, System, payoff
+from .model import Attack, DefenseAllocation, System
 
 DEFAULT_ENUMERATION_LIMIT = 10_000
 
@@ -24,39 +25,6 @@ class EnumerationLimitError(RuntimeError):
     def __init__(self, limit: int):
         self.limit = limit
         super().__init__(f"more than {limit} edge-simple attacks; raise the limit")
-
-
-def enumerate_attacks(system: System, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Attack]:
-    """All non-empty edge-simple paths from the start vertex.
-
-    Paths come out in lexicographic edge-id order (depth-first with sorted
-    adjacency, prefixes before extensions).  Raises
-    ``EnumerationLimitError`` as soon as the count would exceed ``limit``.
-    """
-    if limit < 1:
-        raise ValueError(f"enumeration limit must be positive, got {limit}")
-    found: list[Attack] = []
-    prefix: list[str] = []
-    used: set[str] = set()
-    # One iterator over sorted out-edges per vertex on the current walk; an
-    # explicit stack keeps deep systems clear of the recursion limit.
-    stack = [iter(system.out_edges(system.start))]
-    while stack:
-        for e in stack[-1]:
-            if e.id not in used:
-                break
-        else:
-            stack.pop()
-            if prefix:
-                used.discard(prefix.pop())
-            continue
-        if len(found) >= limit:
-            raise EnumerationLimitError(limit)
-        prefix.append(e.id)
-        used.add(e.id)
-        found.append(Attack(tuple(prefix)))
-        stack.append(iter(system.out_edges(e.dst)))
-    return found
 
 
 @dataclass(frozen=True)
@@ -77,20 +45,61 @@ class PathSet:
 
     @classmethod
     def enumerate(cls, system: System, limit: int = DEFAULT_ENUMERATION_LIMIT) -> "PathSet":
-        attacks = tuple(enumerate_attacks(system, limit))
+        """All non-empty edge-simple paths from the start vertex, in one
+        depth-first walk over sorted adjacency (prefixes before extensions).
+        Raises ``EnumerationLimitError`` as soon as the count would exceed
+        ``limit``."""
+        if limit < 1:
+            raise ValueError(f"enumeration limit must be positive, got {limit}")
+        edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
+        width = len(edge_index)
+        attacks: list[Attack] = []
+        payoffs: list[float] = []
+        cells = array("q")  # flat indices of rate cells, unboxed to keep the peak small
+        prefix: list[str] = []
+        used: set[str] = set()
+        # Rewards of the walk's distinct vertices in first-visit order, and
+        # per step the vertex it reached first (None for a revisit).
+        rewards = [system.reward(system.start)]
+        seen = {system.start}
+        firsts: list[str | None] = []
+        # One iterator over sorted out-edges per vertex on the current walk; an
+        # explicit stack keeps deep systems clear of the recursion limit.
+        stack = [iter(system.out_edges(system.start))]
+        while stack:
+            for e in stack[-1]:
+                if e.id not in used:
+                    break
+            else:
+                stack.pop()
+                if prefix:
+                    used.discard(prefix.pop())
+                    if (v := firsts.pop()) is not None:
+                        seen.discard(v)
+                        rewards.pop()
+                continue
+            if len(attacks) >= limit:
+                raise EnumerationLimitError(limit)
+            prefix.append(e.id)
+            used.add(e.id)
+            firsts.append(None if e.dst in seen else e.dst)
+            if firsts[-1] is not None:
+                seen.add(e.dst)
+                rewards.append(system.reward(e.dst))
+            cells.extend([len(attacks) * width + edge_index[eid] for eid in prefix])
+            attacks.append(Attack(tuple(prefix)))
+            # ``sum`` over the first-visit rewards, exactly as ``model.payoff``.
+            payoffs.append(sum(rewards))
+            stack.append(iter(system.out_edges(e.dst)))
         if not attacks:
             raise ValueError(f"no attacks available from start vertex {system.start!r}")
-        edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
-        rate_rows = np.zeros((len(attacks), len(edge_index)))
-        for i, attack in enumerate(attacks):
-            for eid in attack.path:
-                rate_rows[i, edge_index[eid]] = 1.0
+        rate_rows = np.zeros((len(attacks), width))
+        rate_rows.flat[cells] = 1.0
         rate_rows /= np.array([e.surface for e in system.edges])
-        payoffs = np.array([payoff(system, a) for a in attacks])
         return cls(
             system=system,
-            attacks=attacks,
-            payoffs=payoffs,
+            attacks=tuple(attacks),
+            payoffs=np.array(payoffs),
             rate_rows=rate_rows,
             edge_index=edge_index,
         )

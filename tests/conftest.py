@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from reactive_defense.defenders import FixedDefender, uniform_defense
 from reactive_defense.generators import random_attack, random_system
 from reactive_defense.model import Attack, System
-from reactive_defense.paths import EnumerationLimitError, enumerate_attacks
+from reactive_defense.paths import EnumerationLimitError, PathSet
 
 
 def sample_systems(
@@ -27,7 +28,7 @@ def sample_systems(
         assert attempts < 200 * count, "generator keeps producing oversized systems"
         system = random_system(random.Random(seed), **kwargs)
         try:
-            enumerate_attacks(system, limit=max_paths)
+            PathSet.enumerate(system, limit=max_paths)
         except EnumerationLimitError:
             continue
         out.append((seed, system))
@@ -47,3 +48,17 @@ def attack_sequence(system: System, rng: random.Random, length: int) -> list[Att
 def uniform_defender() -> FixedDefender:
     """The fixed budget / |E| allocation, as the ``uniform`` spec builds it."""
     return FixedDefender(uniform_defense, {"policy": "uniform"})
+
+
+def brute_force_worst_case(system: System, objective: str, amounts: dict[str, float]) -> float:
+    """The attacker's best objective ("roa" or "profit", floored at 0)
+    against the allocation ``amounts``, attack by attack."""
+    worst = 0.0
+    pathset = PathSet.enumerate(system)
+    for attack, pay in zip(pathset.attacks, pathset.payoffs):
+        c = sum(amounts.get(eid, 0.0) / system.surface(eid) for eid in attack.path)
+        if objective == "profit":
+            worst = max(worst, float(pay) - c)
+        elif pay > 0:
+            worst = max(worst, math.inf if c == 0 else float(pay) / c)
+    return worst

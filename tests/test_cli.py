@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reactive_defense
+from conftest import brute_force_worst_case
 from reactive_defense import fixture
 from reactive_defense.io import load_system
 from reactive_defense.cli import build_attacker, build_defender, main
@@ -35,6 +36,7 @@ from reactive_defense.defenders import (
     ReactiveDefender,
 )
 from reactive_defense.fixtures import FIXTURES
+from reactive_defense.paths import EnumerationLimitError, PathSet
 
 
 def run_cli(capsys, *argv):
@@ -587,6 +589,111 @@ def test_verify_bounds_policy_specs_never_exit_1(system, defender, attacker):
         ) as err:
             code = main(["verify-bounds", "--config", str(config)])
     assert code != 1, err.getvalue()
+
+
+_MAGNITUDE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _minimax_system_docs(draw):
+    """Valid graph systems: up to 6 vertices and 8 edges, the first edge
+    leaving the start, surfaces, rewards and budget in [1e-3, 1e3]."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    edges = []
+    for i in range(draw(st.integers(1, 8))):
+        src = "v0" if i == 0 else draw(st.sampled_from(vertices))
+        dst = draw(st.sampled_from(vertices[1:] if i == 0 else vertices))
+        edges.append({"id": f"e{i}", "src": src, "dst": dst, "surface": draw(_MAGNITUDE)})
+    return {
+        "format_version": 1,
+        "start": "v0",
+        "budget": draw(_MAGNITUDE),
+        "rewards": {v: draw(st.just(0.0) | _MAGNITUDE) for v in vertices[1:]},
+        "vertices": vertices,
+        "edges": edges,
+    }
+
+
+def _run_minimax_on_text(text: str, objective: str) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.yaml"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
+            io.StringIO()
+        ) as err:
+            code = main(["minimax", "--system", str(path), "--objective", objective])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_minimax_system_docs(), st.sampled_from(["roa", "profit"]))
+@settings(max_examples=100, deadline=None)
+def test_minimax_system_files_print_their_worst_case(doc, objective):
+    code, stdout, err = _run_minimax_on_text(yaml.safe_dump(doc), objective)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        system = load_system(path)
+    try:
+        pathset = PathSet.enumerate(system)
+    except EnumerationLimitError:
+        assert code == 2, err
+        return
+    assert code == 0, err
+    value = None
+    amounts: dict[str, float] = {}
+    for line in stdout.splitlines():
+        key, *rest = line.split()
+        if key == "value":
+            value = float(rest[0])
+        elif key == "d":
+            amounts[rest[0]] = float(rest[1])
+    worst = brute_force_worst_case(system, objective, amounts)
+    # twelve printed digits; profit values may cancel down to zero
+    scale = float(pathset.payoffs.max())
+    assert math.isclose(worst, value, rel_tol=1e-6, abs_tol=1e-9 * scale), (worst, value)
+
+
+_CORRUPTIONS = {
+    "no edges": lambda d: d.pop("edges"),
+    "edges not a list": lambda d: d.update(edges={"e0": 1}),
+    "negative surface": lambda d: d["edges"][0].update(surface=-1.0),
+    "zero surface": lambda d: d["edges"][0].update(surface=0.0),
+    "subnormal surface": lambda d: d["edges"][0].update(surface=1e-310),
+    "text surface": lambda d: d["edges"][0].update(surface="wide"),
+    "nan surface": lambda d: d["edges"][0].update(surface=math.nan),
+    "edge without source": lambda d: d["edges"][0].pop("src"),
+    "edge source a list": lambda d: d["edges"][0].update(src=["v0"]),
+    "duplicate edge": lambda d: d["edges"].append(dict(d["edges"][0])),
+    "bad edge id": lambda d: d["edges"][0].update(id="e 0"),
+    "negative reward": lambda d: d["rewards"].update(v1=-1.0),
+    "infinite reward": lambda d: d["rewards"].update(v1=math.inf),
+    "start reward": lambda d: d["rewards"].update(v0=1.0),
+    "zero budget": lambda d: d.update(budget=0.0),
+    "infinite budget": lambda d: d.update(budget=math.inf),
+    "undeclared start": lambda d: d.update(start="ghost"),
+    "unknown version": lambda d: d.update(format_version=99),
+    "huge integer": lambda d: d.update(budget=10**400),
+    "no start edge": lambda d: d.update(edges=[dict(d["edges"][0], src="v1", dst="v1")]),
+}
+
+
+@given(
+    _minimax_system_docs(),
+    st.sampled_from(sorted(_CORRUPTIONS)),
+    st.sampled_from(["roa", "profit"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_minimax_malformed_system_files_exit_2(doc, corruption, objective):
+    _CORRUPTIONS[corruption](doc)
+    code, _, err = _run_minimax_on_text(yaml.safe_dump(doc), objective)
+    assert code == 2, (corruption, err)
+
+
+@given(st.text(max_size=60), st.sampled_from(["roa", "profit"]))
+@settings(max_examples=100, deadline=None)
+def test_minimax_arbitrary_text_never_exits_1(text, objective):
+    code, _, err = _run_minimax_on_text(text, objective)
+    assert code == 2, err
 
 
 def test_build_defender_specs(tmp_path):

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attack_sequence
+import reactive_defense
+from conftest import attack_sequence, brute_force_worst_case, sample_systems
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import RandomPathAttacker
 from reactive_defense.defenders import (
@@ -23,10 +29,12 @@ from reactive_defense.defenders import (
     mincut_perimeter_defense,
     minimax_proactive_defense,
     proportional_defense,
+    _max_shadow_prices,
     reactive_hidden_step,
     uniform_defense,
 )
 from reactive_defense.engine import RoundFeedback
+from reactive_defense.fixtures import FIXTURES, star
 from reactive_defense.model import (
     Attack,
     DefenseAllocation,
@@ -36,6 +44,7 @@ from reactive_defense.model import (
     zero_allocation,
 )
 from reactive_defense.generators import random_system
+from reactive_defense.paths import PathSet
 
 
 # Rate values recomputed independently with 50-digit decimal arithmetic.
@@ -418,6 +427,183 @@ def test_minimax_degenerate_cases():
 
     with pytest.raises(ValueError, match="unknown objective"):
         minimax_proactive_defense(worthless, "speed")
+
+
+def _linprog_minimax(system: System, objective: str) -> np.ndarray | None:
+    """Oracle: the HiGHS formulation the package solved before its own
+    simplex, verbatim; the allocation vector, or None if HiGHS fails."""
+    from scipy.optimize import linprog
+
+    pathset = PathSet.enumerate(system)
+    num_edges = len(system.edges)
+    budget_row = np.concatenate([np.ones(num_edges), [0.0]])
+    if objective == "roa":
+        mask = pathset.payoffs > 0
+        if not mask.any():
+            return np.zeros(num_edges)
+        a_ub = np.vstack(
+            [
+                np.hstack([-pathset.rate_rows[mask], pathset.payoffs[mask][:, None]]),
+                budget_row,
+            ]
+        )
+        b_ub = np.concatenate([np.zeros(int(mask.sum())), [system.budget]])
+        cost_vector = np.zeros(num_edges + 1)
+        cost_vector[-1] = -1.0
+    else:
+        a_ub = np.vstack(
+            [
+                np.hstack([-pathset.rate_rows, -np.ones((len(pathset.attacks), 1))]),
+                budget_row,
+            ]
+        )
+        b_ub = np.concatenate([-pathset.payoffs, [system.budget]])
+        cost_vector = np.zeros(num_edges + 1)
+        cost_vector[-1] = 1.0
+    result = linprog(
+        cost_vector,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(0.0, None)] * (num_edges + 1),
+        method="highs",
+    )
+    if not result.success:
+        return None
+    return np.maximum(result.x[:num_edges], 0.0)
+
+
+def _scaled(system: System, surface: float, reward: float, budget: float) -> System:
+    return System.build(
+        edges=[(e.id, e.src, e.dst, e.surface * surface) for e in system.edges],
+        rewards={v: r * reward for v, r in system.rewards.items()},
+        start=system.start,
+        budget=budget,
+    )
+
+
+def _graph_fixtures() -> list[System]:
+    return [s for s in map(fixture, FIXTURES) if isinstance(s, System)]
+
+
+def _assert_matches_linprog(systems: list[System]) -> int:
+    solved = 0
+    for system in systems:
+        scale = float(PathSet.enumerate(system).payoffs.max())
+        for objective in ("roa", "profit"):
+            vector = _linprog_minimax(system, objective)
+            if vector is None:
+                continue
+            oracle = brute_force_worst_case(
+                system, objective, dict(zip(system.edge_ids, vector.tolist()))
+            )
+            result = minimax_proactive_defense(system, objective)
+            worst = brute_force_worst_case(system, objective, dict(result.allocation.alloc))
+            # roa values are ratios, so their own size is the scale
+            size = oracle if objective == "roa" else scale
+            assert worst <= oracle + 1e-9 * size, (system, objective, worst, oracle)
+            # the package prices attacks by matrix product, hence rounding
+            assert worst == pytest.approx(result.value, rel=1e-12, abs=1e-12 * size)
+            solved += 1
+    return solved
+
+
+def test_minimax_matches_linprog_on_fixtures_and_random_systems():
+    systems = _graph_fixtures() + [s for _, s in sample_systems(200, base_seed=9100, max_paths=300)]
+    assert _assert_matches_linprog(systems) == 2 * len(systems)
+
+
+def test_minimax_matches_linprog_on_scaled_systems():
+    bases = _graph_fixtures() + [s for _, s in sample_systems(3, base_seed=9500, max_paths=100)]
+    systems = [
+        _scaled(system, surface, reward, budget)
+        for system in bases
+        for surface in (1e-8, 1.0, 1e8)
+        for reward in (1e-8, 1.0, 1e8)
+        for budget in (1e-3, 1.0, 1e3)
+    ]
+    # HiGHS fails on none of these today; the count would show if it did
+    assert _assert_matches_linprog(systems) == 2 * len(systems)
+
+
+def test_minimax_terminates_on_degenerate_programs():
+    identical_leaves = System.build(
+        edges=[(f"e{i}", "s", f"v{i}", 1.0) for i in range(6)],
+        rewards={f"v{i}": 3.0 for i in range(6)},
+        budget=6.0,
+    )
+    zero_branches = System.build(
+        edges=[
+            ("a", "s", "x", 1.0), ("b", "s", "y", 2.0), ("c", "y", "z", 1.0), ("d", "x", "y", 1.0)
+        ],
+        rewards={"x": 0.0, "y": 0.0, "z": 4.0},
+        budget=2.0,
+    )
+    flooded = System.build(
+        edges=[("lo", "s", "a", 1.0), ("hi", "s", "b", 1.0), ("hi2", "s", "b", 1.0)],
+        rewards={"a": 1.0, "b": 10.0},
+        budget=1e6,
+    )
+    systems = [identical_leaves, star(leaves=8), fixture("appendix_b"), zero_branches, flooded]
+    assert _assert_matches_linprog(systems) == 2 * len(systems)
+    leaves = minimax_proactive_defense(identical_leaves, "roa")
+    assert leaves.value == pytest.approx(3.0, rel=1e-12)
+    assert minimax_proactive_defense(flooded, "profit").value == 0.0
+
+
+def test_simplex_terminates_on_beales_cycling_example():
+    # Beale (1955): Dantzig's rule with lowest-index ties cycles forever here.
+    matrix = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    prices, optimum = _max_shadow_prices(
+        matrix, np.array([0.0, 0.0, 1.0]), np.array([0.75, -20.0, 0.5, -6.0])
+    )
+    assert optimum == pytest.approx(1.25, rel=1e-12)
+    # the prices are an optimal solution of the minimizing dual
+    assert prices @ np.array([0.0, 0.0, 1.0]) == pytest.approx(1.25, rel=1e-12)
+    assert np.all(matrix.T @ prices >= np.array([0.75, -20.0, 0.5, -6.0]) - 1e-12)
+
+
+def test_simplex_hands_stalled_pivots_to_blands_rule():
+    # Found by search: from the slack basis Dantzig's rule makes more
+    # degenerate pivots in a row than there are rows, so the lowest-index
+    # rule takes over; only rows with no right-hand side, optimum 0.
+    matrix = np.array(
+        [
+            [1.0, 1.0, -1.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0, -1.0, -1.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0, -1.0],
+        ]
+    )
+    rhs, gains = np.array([0.0, 0.0, 0.0, 1.0]), np.array([3.0, 3.0, 1.0, 1.0, -1.0])
+    prices, optimum = _max_shadow_prices(matrix, rhs, gains)
+    assert optimum == 0.0
+    assert prices @ rhs == 0.0
+    assert np.all(prices >= 0.0) and np.all(matrix.T @ prices >= gains - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimax", "--system", "fig2", "--objective", "roa"],
+        ["simulate", "--system", "fig2", "--defender", "minimax-roa", "-T", "5"],
+    ],
+)
+def test_minimax_runs_without_scipy(tmp_path, argv):
+    probe = (
+        "import sys\n"
+        "from reactive_defense.cli import main\n"
+        f"code = main({argv + ['--out', str(tmp_path)] if argv[0] == 'simulate' else argv!r})\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(reactive_defense.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_hindsight_best_proactive():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -359,12 +358,11 @@ def test_allocations_match_indent2_encoder(tmp_path, allocs):
 
 
 def test_allocations_of_zero_records_match_indent2_encoder(tmp_path):
-    trace = _hand_trace([])
-    # allocations.json is written before summary.json, whose cumulative
-    # return ratio is undefined without a round
-    with contextlib.suppress(ValueError):
-        write_trace(trace, tmp_path)
-    assert (tmp_path / "allocations.json").read_text() == _indent2_allocations(trace) == "{}\n"
+    # summary.json's cumulative return ratio is undefined without a round,
+    # so the trace is refused before any file is written
+    with pytest.raises(ValueError, match="no rounds"):
+        write_trace(_hand_trace([]), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_wide_known_game_allocations_match_indent2_encoder(tmp_path):

@@ -12,12 +12,11 @@ from reactive_defense import fixture
 from reactive_defense.fixtures import FIXTURES
 from reactive_defense.generators import random_system
 from reactive_defense.model import Attack, DefenseAllocation, System, cost, payoff
-from reactive_defense.paths import (
-    DEFAULT_ENUMERATION_LIMIT,
-    EnumerationLimitError,
-    PathSet,
-    enumerate_attacks,
-)
+from reactive_defense.paths import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError, PathSet
+
+
+def _attacks(system: System, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Attack]:
+    return list(PathSet.enumerate(system, limit).attacks)
 
 
 def test_enumeration_order_prefixes_first():
@@ -28,7 +27,7 @@ def test_enumeration_order_prefixes_first():
             ("c", "m", "t", 1.0),
         ]
     )
-    attacks = [a.path for a in enumerate_attacks(system)]
+    attacks = [a.path for a in _attacks(system)]
     assert attacks == [("a",), ("a", "c"), ("b",), ("b", "c")]
 
 
@@ -61,19 +60,19 @@ def test_enumeration_matches_recursive_order():
     systems += [system for _, system in sample_systems(40, base_seed=7300)]
     for system in systems:
         expected = _recursive_enumeration(system, DEFAULT_ENUMERATION_LIMIT)
-        assert enumerate_attacks(system) == expected
+        assert _attacks(system) == expected
         # the cap admits exactly the count and rejects one fewer
-        assert enumerate_attacks(system, limit=len(expected)) == expected
+        assert _attacks(system, limit=len(expected)) == expected
         if len(expected) > 1:
             with pytest.raises(EnumerationLimitError):
-                enumerate_attacks(system, limit=len(expected) - 1)
+                _attacks(system, limit=len(expected) - 1)
 
 
 def test_enumeration_handles_vertex_revisits():
     system = System.build(
         edges=[("out", "s", "a", 1.0), ("back", "a", "s", 1.0)]
     )
-    attacks = [a.path for a in enumerate_attacks(system)]
+    attacks = [a.path for a in _attacks(system)]
     assert ("out", "back") in attacks
     # the returning walk cannot reuse "out"
     assert all(len(set(p)) == len(p) for p in attacks)
@@ -81,20 +80,58 @@ def test_enumeration_handles_vertex_revisits():
 
 def test_enumeration_limit():
     system = fixture("fig3_n8")
-    assert len(enumerate_attacks(system)) == 8
+    assert len(_attacks(system)) == 8
     with pytest.raises(EnumerationLimitError) as err:
-        enumerate_attacks(system, limit=3)
+        _attacks(system, limit=3)
     assert err.value.limit == 3
     with pytest.raises(ValueError):
-        enumerate_attacks(system, limit=0)
+        _attacks(system, limit=0)
     assert DEFAULT_ENUMERATION_LIMIT == 10_000
 
 
 def test_empty_start_has_no_attacks():
     system = System.build(edges=[("e", "a", "b", 1.0)], start="s", rewards={})
-    assert enumerate_attacks(system) == []
     with pytest.raises(ValueError, match="no attacks"):
         PathSet.enumerate(system)
+
+
+def _pathset_by_functionals(system: System) -> tuple[list[Attack], np.ndarray, np.ndarray]:
+    """Oracle: the per-attack construction, with ``model.payoff`` (which
+    validates each path) and one cell write per edge."""
+    attacks = _recursive_enumeration(system, DEFAULT_ENUMERATION_LIMIT)
+    edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
+    rate_rows = np.zeros((len(attacks), len(edge_index)))
+    for i, attack in enumerate(attacks):
+        for eid in attack.path:
+            rate_rows[i, edge_index[eid]] = 1.0
+    rate_rows /= np.array([e.surface for e in system.edges])
+    return attacks, np.array([payoff(system, a) for a in attacks]), rate_rows
+
+
+def test_pathset_is_byte_identical_to_per_attack_construction():
+    systems = [fixture(name) for name in FIXTURES]
+    systems = [s for s in systems if isinstance(s, System)]
+    systems += [system for _, system in sample_systems(60, base_seed=7500)]
+    # (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3); y is revisited
+    systems.append(
+        System.build(
+            edges=[
+                ("a", "s", "x", 1.0),
+                ("b", "x", "y", 3.0),
+                ("c", "y", "x", 0.5),
+                ("d", "x", "z", 7.0),
+            ],
+            rewards={"x": 0.1, "y": 0.2, "z": 0.3},
+        )
+    )
+    for system in systems:
+        attacks, payoffs, rate_rows = _pathset_by_functionals(system)
+        paths = PathSet.enumerate(system)
+        assert list(paths.attacks) == attacks
+        assert paths.payoffs.dtype == payoffs.dtype
+        assert paths.payoffs.tobytes() == payoffs.tobytes()
+        assert paths.rate_rows.shape == rate_rows.shape
+        assert paths.rate_rows.tobytes() == rate_rows.tobytes()
 
 
 def test_pathset_matches_scalar_functionals():
