@@ -52,13 +52,6 @@ class BestResponse:
     undefined: bool = False
 
 
-def best_response(
-    system: System, allocation: DefenseAllocation, objective: str = "roa"
-) -> BestResponse:
-    """Exact best response by enumeration of all edge-simple attacks."""
-    return select_best_response(PathSet.enumerate(system), allocation, objective)
-
-
 def select_best_response(
     pathset: PathSet, allocation: DefenseAllocation, objective: str
 ) -> BestResponse:

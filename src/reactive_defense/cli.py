@@ -67,14 +67,6 @@ ATTACKER_SPECS = (
 )
 
 
-class CommandError(Exception):
-    """CLI-level failure with an explicit exit code."""
-
-    def __init__(self, exit_code: int, message: str):
-        self.exit_code = exit_code
-        super().__init__(message)
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -83,14 +75,6 @@ def _out_dir(out: str | None) -> str:
     if out:
         return out
     return os.environ.get("REACTIVE_DEFENSE_OUT", "out")
-
-
-def _require_graph(system, command: str) -> System:
-    if not isinstance(system, System):
-        raise CommandError(
-            2, f"{command} needs a graph system; the given system is Horn-clause based"
-        )
-    return system
 
 
 def build_defender(spec: str, system: System) -> Defender:
@@ -161,7 +145,7 @@ def build_attacker(spec: str) -> Attacker:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    system = _require_graph(resolve_system(args.system), "simulate")
+    system = resolve_system(args.system)
     defender = build_defender(args.defender, system)
     attacker = build_attacker(args.attacker)
     trace = run_game(system, defender, attacker, rounds=args.rounds, seed=args.seed)
@@ -177,7 +161,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimax(args: argparse.Namespace) -> int:
-    system = _require_graph(resolve_system(args.system), "minimax")
+    system = resolve_system(args.system)
     result = minimax_proactive_defense(system, args.objective, limit=args.limit)
     print(f"objective {args.objective}")
     print(f"value {_fmt(result.value)}")
@@ -189,7 +173,7 @@ def _cmd_minimax(args: argparse.Namespace) -> int:
 
 
 def _cmd_mincut(args: argparse.Namespace) -> int:
-    system = _require_graph(resolve_system(args.system), "mincut")
+    system = resolve_system(args.system)
     allocation = mincut_perimeter_defense(system, args.target)
     print(f"target {args.target}")
     for edge in system.edges:
@@ -201,7 +185,7 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    system = _require_graph(resolve_system(config.system), "verify-bounds")
+    system = resolve_system(config.system)
     defender = build_defender(config.defender, system)
     attacker = build_attacker(config.attacker)
     trace = run_game(
@@ -331,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except (FileFormatError, ValidationError, InvalidAttackError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

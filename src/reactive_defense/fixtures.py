@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .horn import HornSystem
 from .model import System
 
 
@@ -83,31 +82,17 @@ def two_parallel_edges() -> System:
     )
 
 
-def horn_chain() -> HornSystem:
-    """Three-clause derivation chain with reward on the final fact."""
-    return HornSystem.build(
-        clauses=[
-            ("boot", (), "foothold", 2.0),
-            ("escalate", ("foothold",), "admin", 1.0),
-            ("exfil", ("foothold", "admin"), "data", 0.5),
-        ],
-        rewards={"foothold": 0.0, "admin": 1.0, "data": 5.0},
-        budget=2.0,
-    )
-
-
-FIXTURES: dict[str, Callable[[], System | HornSystem]] = {
+FIXTURES: dict[str, Callable[[], System]] = {
     "fig2": layered_chain,
     "fig3_n2": lambda: star(leaves=2),
     "fig3_n4": lambda: star(leaves=4),
     "fig3_n8": lambda: star(leaves=8),
     "fig4": two_objective_fork,
     "appendix_b": two_parallel_edges,
-    "horn_chain": horn_chain,
 }
 
 
-def fixture(name: str) -> System | HornSystem:
+def fixture(name: str) -> System:
     try:
         builder = FIXTURES[name]
     except KeyError:

@@ -1,10 +1,10 @@
-"""Seeded random systems and attacks for tests and experiments."""
+"""Seeded random systems for tests and experiments."""
 
 from __future__ import annotations
 
 import random
 
-from .model import Attack, Edge, System
+from .model import Edge, System
 
 
 # Chance that an extra edge copies an existing edge's endpoints.
@@ -49,31 +49,3 @@ def random_system(
         start=start,
         budget=budget,
     )
-
-
-def random_attack(
-    system: System, rng: random.Random, max_length: int = 12
-) -> Attack | None:
-    """Draw a random edge-simple walk from the start, or None if no edge
-    leaves it.
-
-    Walks extend through unused out-edges of the current vertex and stop
-    early with probability 1/4 per step, so short and long attacks both
-    appear.
-    """
-    current = system.start
-    used: set[str] = set()
-    path: list[str] = []
-    for _ in range(max_length):
-        options = [e for e in system.out_edges(current) if e.id not in used]
-        if not options:
-            break
-        edge = rng.choice(options)
-        path.append(edge.id)
-        used.add(edge.id)
-        current = edge.dst
-        if rng.random() < 0.25:
-            break
-    if not path:
-        return None
-    return Attack(tuple(path))

@@ -7,17 +7,22 @@ cost charges each clause occurrence its allocation over surface.  A graph
 system embeds exactly (one clause per edge plus a zero-cost base clause
 for the start vertex), and the embedding preserves cost and payoff.
 
-Both back ends share one set of invariants, so ``model.validate_system``
-checks Horn systems too, and ``io`` reads and writes both.
+Horn systems are an in-memory model, built only by :func:`graph_to_horn`
+from an already-validated graph system.  They are never read from a file
+and never validated on their own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .model import Attack, DefenseAllocation, InvalidProofError, System
+from .model import Attack, DefenseAllocation, System
+
+
+class InvalidProofError(ValueError):
+    """Raised for clause sequences that are not valid proofs."""
 
 
 @dataclass(frozen=True)
@@ -35,37 +40,16 @@ class HornClause:
 
 @dataclass(frozen=True)
 class HornSystem:
-    """Propositions with rewards, surfaced clauses, and a defense budget."""
+    """Surfaced clauses, rewards on propositions, and a defense budget."""
 
-    propositions: frozenset[str]
     clauses: tuple[HornClause, ...]
     rewards: Mapping[str, float]
     budget: float
 
     def __post_init__(self):
-        object.__setattr__(self, "propositions", frozenset(self.propositions))
         object.__setattr__(self, "clauses", tuple(self.clauses))
         object.__setattr__(self, "rewards", MappingProxyType(dict(self.rewards)))
         object.__setattr__(self, "_clause_map", {c.id: c for c in self.clauses})
-
-    @classmethod
-    def build(
-        cls,
-        clauses: Iterable[tuple[str, Iterable[str], str, float]],
-        rewards: Mapping[str, float] | None = None,
-        budget: float = 1.0,
-    ) -> "HornSystem":
-        """Construct from ``(id, antecedents, consequent, surface)`` rows."""
-        rows = tuple(
-            HornClause(cid, frozenset(ante), cons, surface)
-            for cid, ante, cons, surface in clauses
-        )
-        rewards = dict(rewards or {})
-        props = set(rewards)
-        for c in rows:
-            props |= c.antecedents
-            props.add(c.consequent)
-        return cls(frozenset(props), rows, rewards, budget)
 
     def has_clause(self, clause_id: str) -> bool:
         return clause_id in self._clause_map
@@ -144,7 +128,6 @@ class GraphEmbedding:
     prices the clauses unchanged.
     """
 
-    graph: System
     horn: HornSystem
     start_clause: str
 
@@ -156,10 +139,7 @@ def graph_to_horn(system: System) -> GraphEmbedding:
     start_clause = "derive-start"
     while system.has_edge(start_clause):
         start_clause = "_" + start_clause
-    clauses: list[tuple[str, tuple[str, ...], str, float]] = [
-        (start_clause, (), system.start, 1.0)
-    ]
-    for e in system.edges:
-        clauses.append((e.id, (e.src,), e.dst, e.surface))
-    horn = HornSystem.build(clauses, rewards=dict(system.rewards), budget=system.budget)
-    return GraphEmbedding(graph=system, horn=horn, start_clause=start_clause)
+    clauses = [HornClause(start_clause, frozenset(), system.start, 1.0)]
+    clauses += (HornClause(e.id, frozenset({e.src}), e.dst, e.surface) for e in system.edges)
+    horn = HornSystem(clauses, system.rewards, system.budget)
+    return GraphEmbedding(horn=horn, start_clause=start_clause)

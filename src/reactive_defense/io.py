@@ -1,6 +1,6 @@
 """File formats: YAML system files, trace outputs, experiment configs.
 
-System files (format_version 1) describe either a graph system::
+System files (format_version 1) describe a graph system::
 
     format_version: 1
     name: two-routes          # optional
@@ -11,20 +11,11 @@ System files (format_version 1) describe either a graph system::
     edges:
       - {id: e1, src: s, dst: r, surface: 1.0}
 
-or, with ``clauses`` in place of ``edges``, a Horn system::
-
-    format_version: 1
-    budget: 2.0
-    rewards: {data: 5.0}
-    clauses:
-      - {id: boot, antecedents: [], consequent: foothold, surface: 2.0}
-
-Both kinds are read and written from one table of row fields, and
-:func:`~.model.validate_system` checks both.  Unknown keys are rejected.
-Structural problems raise :class:`FileFormatError` with code E-IO
-(unreadable), E-SYNTAX (not UTF-8, or not parseable, which includes an
-integer past Python's int-string digit limit) or E-SCHEMA (wrong shape,
-or a number beyond the float range); semantic problems surface as
+Unknown keys are rejected.  Structural problems raise
+:class:`FileFormatError` with code E-IO (unreadable), E-SYNTAX (not
+UTF-8, or not parseable, which includes an integer past Python's
+int-string digit limit) or E-SCHEMA (wrong shape, or a number beyond the
+float range); semantic problems surface as
 :class:`~.model.ValidationError` with the model's own codes.
 
 A recorded game becomes three files in one directory: ``trace.csv``
@@ -52,7 +43,6 @@ import yaml
 from .attackers import MultiAttackRound
 from .engine import GameTrace
 from .fixtures import FIXTURES, fixture
-from .horn import HornSystem
 from .model import (
     Attack,
     DefenseAllocation,
@@ -73,18 +63,17 @@ KNOWN_CHECKS = ("profit_regret", "roa_ratio")
 # write_trace wraps its output in the layout of json.dumps(..., indent=2).
 _ROUND_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "), sort_keys=True)
 
-_COMMON_KEYS = {"format_version", "name", "description", "budget", "rewards"}
-# Per back end, keyed by its rows key: the key of its extra names and the
-# fields of a row in constructor order, each with its type (str, a list of
-# str, or a number).  Keys double as the attribute names of the system and
-# of its edges or clauses.
-_ROW_KINDS = {
-    "edges": ("vertices", {"id": str, "src": str, "dst": str, "surface": float}),
-    "clauses": (
-        "propositions",
-        {"id": str, "antecedents": list, "consequent": str, "surface": float},
-    ),
+_SYSTEM_KEYS = {
+    "format_version",
+    "name",
+    "description",
+    "start",
+    "budget",
+    "rewards",
+    "vertices",
+    "edges",
 }
+_EDGE_KEYS = {"id", "src", "dst", "surface"}
 _CONFIG_KEYS = {
     "format_version",
     "name",
@@ -194,30 +183,23 @@ def _reward_map(value, source: str) -> dict[str, float]:
 # system files
 
 
-def system_to_doc(system: System | HornSystem, name: str | None = None) -> dict:
-    """JSON/YAML-ready document for a graph or Horn system."""
-    horn = isinstance(system, HornSystem)
+def system_to_doc(system: System, name: str | None = None) -> dict:
+    """JSON/YAML-ready document for a system."""
     doc: dict = {"format_version": SYSTEM_FORMAT_VERSION}
     if name is not None:
         doc["name"] = name
-    if not horn:
-        doc["start"] = system.start
+    doc["start"] = system.start
     doc["budget"] = float(system.budget)
     doc["rewards"] = {v: float(system.rewards[v]) for v in sorted(system.rewards)}
-    rows_key = "clauses" if horn else "edges"
-    names_key, fields = _ROW_KINDS[rows_key]
-    doc[names_key] = sorted(getattr(system, names_key))
-    doc[rows_key] = [
-        {
-            key: sorted(getattr(u, key)) if kind is list else kind(getattr(u, key))
-            for key, kind in fields.items()
-        }
-        for u in getattr(system, rows_key)
+    doc["vertices"] = sorted(system.vertices)
+    doc["edges"] = [
+        {"id": e.id, "src": e.src, "dst": e.dst, "surface": float(e.surface)}
+        for e in system.edges
     ]
     return doc
 
 
-def system_from_doc(doc, source: str = "<doc>") -> System | HornSystem:
+def system_from_doc(doc, source: str = "<doc>") -> System:
     """Parse and validate a system document.
 
     Shape problems raise :class:`FileFormatError` (E-SCHEMA); violations
@@ -228,52 +210,38 @@ def system_from_doc(doc, source: str = "<doc>") -> System | HornSystem:
     version = _integer(doc.get("format_version"), "format_version", source)
     if version != SYSTEM_FORMAT_VERSION:
         _schema(source, f"format_version must be {SYSTEM_FORMAT_VERSION}, got {version!r}")
-    if ("edges" in doc) == ("clauses" in doc):
-        _schema(source, "exactly one of 'edges' (graph) or 'clauses' (Horn) is required")
-    horn = "clauses" in doc
-    rows_key = "clauses" if horn else "edges"
-    names_key, fields = _ROW_KINDS[rows_key]
-    allowed = _COMMON_KEYS | {names_key, rows_key} | (set() if horn else {"start"})
-    _reject_unknown(doc, allowed, source)
-    start = None if horn else _string(doc, "start", source)
+    _reject_unknown(doc, _SYSTEM_KEYS, source)
+    start = _string(doc, "start", source)
     budget = _number(doc.get("budget"), "budget", source)
     rewards = _reward_map(doc.get("rewards"), source)
-    extra_names = set(_string_list(doc.get(names_key, []), names_key, source))
-    rows = _rows(doc.get(rows_key), rows_key, fields, source)
-    if horn:
-        system: System | HornSystem = HornSystem.build(rows, rewards, budget)
-    else:
-        system = System.build(rows, rewards, start, budget)
-    declared = getattr(system, names_key)
-    if extra_names - declared:
-        system = replace(system, **{names_key: declared | extra_names})
+    extra_vertices = set(_string_list(doc.get("vertices", []), "vertices", source))
+    system = System.build(_edge_rows(doc.get("edges"), source), rewards, start, budget)
+    if extra_vertices - system.vertices:
+        system = replace(system, vertices=system.vertices | extra_vertices)
     ensure_valid_system(system)
     return system
 
 
-def _rows(value, key: str, fields: dict, source: str) -> list[tuple]:
-    """Rows of ``fields`` values, one per mapping in the list ``value``."""
+def _edge_rows(value, source: str) -> list[tuple]:
+    """``(id, src, dst, surface)`` rows, one per mapping in the list ``value``."""
     if not isinstance(value, list):
-        _schema(source, f"'{key}' must be a list, got {value!r}")
-    allowed, rows = set(fields), []
+        _schema(source, f"'edges' must be a list, got {value!r}")
+    rows = []
     for i, entry in enumerate(value):
-        where = f"{key}[{i}]"
+        where = f"edges[{i}]"
         if not isinstance(entry, dict):
             _schema(source, f"{where} must be a mapping, got {entry!r}")
-        _reject_unknown(entry, allowed, source, where)
-        row = []
-        for field, kind in fields.items():
-            if kind is str:
-                row.append(_string(entry, field, source, where))
-            elif kind is list:
-                row.append(_string_list(entry.get(field, []), f"{where}.{field}", source))
-            else:
-                row.append(_number(entry.get(field), f"{where}.{field}", source))
-        rows.append(tuple(row))
+        _reject_unknown(entry, _EDGE_KEYS, source, where)
+        rows.append(
+            (
+                *(_string(entry, key, source, where) for key in ("id", "src", "dst")),
+                _number(entry.get("surface"), f"{where}.surface", source),
+            )
+        )
     return rows
 
 
-def load_system(path: str | PathLike) -> System | HornSystem:
+def load_system(path: str | PathLike) -> System:
     """Read and validate a YAML system file."""
     text = _read_text(path)
     doc = _parse_yaml(text, str(path))
@@ -281,7 +249,7 @@ def load_system(path: str | PathLike) -> System | HornSystem:
 
 
 def save_system(
-    system: System | HornSystem,
+    system: System,
     path: str | PathLike,
     name: str | None = None,
     header: str | None = None,
@@ -295,7 +263,7 @@ def save_system(
     _write_text(path, text)
 
 
-def resolve_system(spec: str) -> System | HornSystem:
+def resolve_system(spec: str) -> System:
     """Resolve a fixture name or a system file path."""
     if spec in FIXTURES:
         return fixture(spec)

@@ -15,8 +15,7 @@ case is a distinguished undefined marker (``math.nan``, test with
 
 ``System`` construction is deliberately lenient so that malformed inputs
 can be inspected; :func:`validate_system` reports every violated invariant
-with a machine-readable code, for graph systems and for the Horn-clause
-systems of :mod:`.horn` alike.  Game operations assume a validated system.
+with a machine-readable code.  Game operations assume a validated system.
 """
 
 from __future__ import annotations
@@ -58,10 +57,6 @@ class ValidationError(ValueError):
 
 class InvalidAttackError(ValueError):
     """Raised for paths that are not valid attacks on the given system."""
-
-
-class InvalidProofError(ValueError):
-    """Raised for clause sequences that are not valid proofs."""
 
 
 @dataclass(frozen=True)
@@ -172,8 +167,7 @@ class Attack:
 
 @dataclass(frozen=True)
 class DefenseAllocation:
-    """Nonnegative split of a finite positive budget across edges (or Horn
-    clauses).
+    """Nonnegative split of a finite positive budget across edges.
 
     Edges absent from ``alloc`` receive zero.  The total may exceed the
     budget only by ``FEASIBILITY_RTOL * budget``; the all-zero allocation
@@ -218,48 +212,33 @@ def zero_allocation(budget: float) -> DefenseAllocation:
 # validation
 
 
-def validate_system(system) -> list[Violation]:
-    """Check every invariant of a ``System`` or ``HornSystem``.
+def validate_system(system: System) -> list[Violation]:
+    """Check every invariant of a ``System``.
 
-    Returns all violations (empty list means the object is well formed).
-    Both back ends obey the same rules, each in its own nouns: vertices
-    and edges (E-VERTEX, E-ENDPOINT, E-EDGE-ID) or propositions and
-    clauses (E-PROP, E-CLAUSE-ID).  Shared codes: E-BUDGET, E-ID,
-    E-REWARD (also for rewards whose total overflows), E-SURFACE; graphs
-    add E-START and E-START-REWARD.
+    Returns all violations (empty list means the system is well formed),
+    coded E-BUDGET, E-ID, E-START, E-START-REWARD, E-VERTEX, E-REWARD
+    (also for rewards whose total overflows), E-EDGE-ID, E-ENDPOINT and
+    E-SURFACE.
     """
-    from .horn import HornSystem  # local import: horn imports this module
-
-    graph = isinstance(system, System)
-    if graph:
-        names, units, name, unit = system.vertices, system.edges, "vertex", "edge"
-        name_code, ref_code, dup_code = "E-VERTEX", "E-ENDPOINT", "E-EDGE-ID"
-    elif isinstance(system, HornSystem):
-        names, units, name, unit = system.propositions, system.clauses, "proposition", "clause"
-        name_code, ref_code, dup_code = "E-PROP", "E-PROP", "E-CLAUSE-ID"
-    else:
-        raise TypeError(f"expected System or HornSystem, got {type(system)!r}")
-
     out: list[Violation] = []
     if not (math.isfinite(system.budget) and system.budget > 0):
         out.append(Violation("E-BUDGET", f"budget must be positive, got {system.budget}"))
-    for v in sorted(names):
+    for v in sorted(system.vertices):
         if not _ID_PATTERN.match(v):
-            out.append(Violation("E-ID", f"{name} id {v!r} is not a plain token"))
-    if graph:
-        if system.start not in names:
-            out.append(Violation("E-START", f"start vertex {system.start!r} is not declared"))
-        elif system.reward(system.start) != 0:
-            out.append(
-                Violation(
-                    "E-START-REWARD",
-                    f"start vertex must have zero reward, got {system.reward(system.start)}",
-                )
+            out.append(Violation("E-ID", f"vertex id {v!r} is not a plain token"))
+    if system.start not in system.vertices:
+        out.append(Violation("E-START", f"start vertex {system.start!r} is not declared"))
+    elif system.reward(system.start) != 0:
+        out.append(
+            Violation(
+                "E-START-REWARD",
+                f"start vertex must have zero reward, got {system.reward(system.start)}",
             )
+        )
     total = 0.0
     for v, reward in system.rewards.items():
-        if v not in names:
-            out.append(Violation(name_code, f"reward names undeclared {name} {v!r}"))
+        if v not in system.vertices:
+            out.append(Violation("E-VERTEX", f"reward names undeclared vertex {v!r}"))
         if math.isfinite(reward) and reward >= 0:
             total += reward
         else:
@@ -269,26 +248,27 @@ def validate_system(system) -> list[Violation]:
     if not math.isfinite(total):
         out.append(Violation("E-REWARD", f"rewards must have a finite total, got {total}"))
     seen: set[str] = set()
-    for u in units:
-        if not _ID_PATTERN.match(u.id):
-            out.append(Violation("E-ID", f"{unit} id {u.id!r} is not a plain token"))
-        if u.id in seen:
-            out.append(Violation(dup_code, f"duplicate {unit} id {u.id!r}"))
-        seen.add(u.id)
-        refs = (u.src, u.dst) if graph else sorted(u.antecedents | {u.consequent})
-        for ref in refs:
-            if ref not in names:
-                out.append(Violation(ref_code, f"{unit} {u.id!r} references undeclared {name} {ref!r}"))
+    for e in system.edges:
+        if not _ID_PATTERN.match(e.id):
+            out.append(Violation("E-ID", f"edge id {e.id!r} is not a plain token"))
+        if e.id in seen:
+            out.append(Violation("E-EDGE-ID", f"duplicate edge id {e.id!r}"))
+        seen.add(e.id)
+        for ref in (e.src, e.dst):
+            if ref not in system.vertices:
+                out.append(
+                    Violation("E-ENDPOINT", f"edge {e.id!r} references undeclared vertex {ref!r}")
+                )
         # Pricing divides by the surface, and a subnormal one (1e-310)
         # would give inf * 0 = NaN costs: the reciprocal must be finite.
-        if not (math.isfinite(u.surface) and u.surface > 0 and math.isfinite(1.0 / u.surface)):
+        if not (math.isfinite(e.surface) and e.surface > 0 and math.isfinite(1.0 / e.surface)):
             out.append(
-                Violation("E-SURFACE", f"{unit} {u.id!r} must have positive surface with finite 1/surface, got {u.surface}")
+                Violation("E-SURFACE", f"edge {e.id!r} must have positive surface with finite 1/surface, got {e.surface}")
             )
     return out
 
 
-def ensure_valid_system(system) -> None:
+def ensure_valid_system(system: System) -> None:
     """Raise ``ValidationError`` if the system violates any invariant."""
     violations = validate_system(system)
     if violations:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import random
 
+from reactive_defense.attackers import BestResponse, select_best_response
 from reactive_defense.defenders import FixedDefender, uniform_defense
-from reactive_defense.generators import random_attack, random_system
-from reactive_defense.model import Attack, System
+from reactive_defense.generators import random_system
+from reactive_defense.model import Attack, DefenseAllocation, System
 from reactive_defense.paths import EnumerationLimitError, PathSet
 
 
@@ -33,6 +34,41 @@ def sample_systems(
             continue
         out.append((seed, system))
     return out
+
+
+def random_attack(
+    system: System, rng: random.Random, max_length: int = 12
+) -> Attack | None:
+    """Draw a random edge-simple walk from the start, or None if no edge
+    leaves it.
+
+    Walks extend through unused out-edges of the current vertex and stop
+    early with probability 1/4 per step, so short and long attacks both
+    appear.
+    """
+    current = system.start
+    used: set[str] = set()
+    path: list[str] = []
+    for _ in range(max_length):
+        options = [e for e in system.out_edges(current) if e.id not in used]
+        if not options:
+            break
+        edge = rng.choice(options)
+        path.append(edge.id)
+        used.add(edge.id)
+        current = edge.dst
+        if rng.random() < 0.25:
+            break
+    if not path:
+        return None
+    return Attack(tuple(path))
+
+
+def best_response(
+    system: System, allocation: DefenseAllocation, objective: str = "roa"
+) -> BestResponse:
+    """Exact best response by enumeration of all edge-simple attacks."""
+    return select_best_response(PathSet.enumerate(system), allocation, objective)
 
 
 def attack_sequence(system: System, rng: random.Random, length: int) -> list[Attack]:

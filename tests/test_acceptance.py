@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import attack_sequence, sample_systems, uniform_defender
+from conftest import attack_sequence, best_response, sample_systems, uniform_defender
 from reactive_defense import (
     BestResponseAttacker,
     ReactiveDefender,
@@ -30,11 +30,7 @@ from reactive_defense.analysis import (
     roa_ratio,
     roa_threshold_rounds,
 )
-from reactive_defense.attackers import (
-    MultiAttacker,
-    RandomPathAttacker,
-    best_response,
-)
+from reactive_defense.attackers import MultiAttacker, RandomPathAttacker
 from reactive_defense.defenders import (
     FixedDefender,
     HedgeLearner,

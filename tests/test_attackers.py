@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import sample_systems
+from conftest import best_response, sample_systems
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import (
     BestResponse,
@@ -18,7 +18,6 @@ from reactive_defense.attackers import (
     MultiAttacker,
     ObliviousAttacker,
     RandomPathAttacker,
-    best_response,
     random_parallel_attack,
     select_best_response,
 )

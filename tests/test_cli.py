@@ -134,6 +134,14 @@ def test_simulate_env_var_output(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "from-env" / "trace.csv").exists()
 
 
+# Horn systems exist only in memory: a system file in the Horn layout is
+# refused like any other file with unknown keys.
+_CLAUSE_SYSTEM = (
+    "format_version: 1\nbudget: 2.0\nrewards: {data: 5.0}\n"
+    "clauses: [{id: boot, antecedents: [], consequent: data, surface: 2.0}]\n"
+)
+
+
 def test_simulate_input_errors(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--system", "no-such", "-T", "3", "--out", str(tmp_path)
@@ -162,18 +170,30 @@ def test_simulate_input_errors(tmp_path, capsys):
     assert code == 2
     assert "unknown defender" in err
 
+    horn = tmp_path / "horn.yaml"
+    horn.write_text(_CLAUSE_SYSTEM)
     code, _, err = run_cli(
-        capsys,
-        "simulate",
-        "--system",
-        "horn_chain",
-        "-T",
-        "3",
-        "--out",
-        str(tmp_path),
+        capsys, "simulate", "--system", str(horn), "-T", "3", "--out", str(tmp_path / "run")
     )
     assert code == 2
-    assert "Horn-clause" in err
+    assert "[E-SCHEMA]" in err and "unknown keys ['clauses']" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_clause_system_files_exit_2_from_every_command(tmp_path, capsys):
+    horn = tmp_path / "horn.yaml"
+    horn.write_text(_CLAUSE_SYSTEM)
+    config = _write_config(tmp_path, system=str(horn))
+    for argv in (
+        ["simulate", "--system", str(horn), "-T", "3", "--out", str(tmp_path / "run")],
+        ["minimax", "--system", str(horn)],
+        ["mincut", "--system", str(horn), "--target", "data"],
+        ["verify-bounds", "--config", str(config)],
+    ):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "unknown keys ['clauses']" in err, argv
+        assert stdout == "", argv
 
 
 def test_simulate_rejects_nan_fixed_allocation(tmp_path, capsys):
@@ -228,12 +248,6 @@ def test_simulate_rejects_oversize_integer_fixed_allocation(tmp_path, capsys):
             "start: s\nbudget: 1.0\nrewards: {a: 1.0e+308, b: 1.0e+308}\n"
             "edges: [{id: e, src: s, dst: a, surface: 1.0},"
             " {id: f, src: a, dst: b, surface: 1.0}]\n",
-            "E-REWARD",
-        ),
-        (
-            "budget: 1.0\nrewards: {p: 1.0e+308, q: 1.0e+308}\n"
-            "clauses: [{id: c1, consequent: p, surface: 1.0},"
-            " {id: c2, antecedents: [p], consequent: q, surface: 1.0}]\n",
             "E-REWARD",
         ),
     ],
@@ -567,7 +581,7 @@ def _spec(names):
 
 
 @given(
-    _spec(["fig2", "appendix_b", "horn_chain"]),
+    _spec(["fig2", "appendix_b", "fig4"]),
     _spec(["reactive", "known", "uniform", "myopic", "mincut:db"]),
     _spec(["best-roa", "best-profit", "random", "multi:random+best-roa"]),
 )
@@ -589,6 +603,32 @@ def test_verify_bounds_policy_specs_never_exit_1(system, defender, attacker):
         ) as err:
             code = main(["verify-bounds", "--config", str(config)])
     assert code != 1, err.getvalue()
+
+
+@given(
+    _spec(sorted(FIXTURES)),
+    _spec(["reactive", "known", "uniform", "myopic", "minimax-roa", "mincut:db"]),
+    _spec(["best-roa", "best-profit", "random", "multi:random+best-roa"]),
+    st.integers(-1, 3),
+    st.integers(),
+)
+@settings(max_examples=300, deadline=None)
+def test_simulate_flags_never_exit_1(system, defender, attacker, rounds, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            "simulate",
+            f"--system={system}",
+            f"--defender={defender}",
+            f"--attacker={attacker}",
+            f"--rounds={rounds}",
+            f"--seed={seed}",
+            f"--out={tmp}",
+        ]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ) as err:
+            code = main(argv)
+    assert code != 1, (argv, err.getvalue())
 
 
 _MAGNITUDE = st.floats(1e-3, 1e3)

@@ -9,7 +9,9 @@ import pytest
 from conftest import attack_sequence, sample_systems
 from reactive_defense import fixture
 from reactive_defense.horn import (
+    HornClause,
     HornSystem,
+    InvalidProofError,
     Proof,
     derived_propositions,
     graph_to_horn,
@@ -20,27 +22,36 @@ from reactive_defense.horn import (
 from reactive_defense.model import (
     Attack,
     DefenseAllocation,
-    InvalidProofError,
     cost,
-    ensure_valid_system,
     payoff,
-    validate_system,
     zero_allocation,
 )
 
 
+def horn_chain() -> HornSystem:
+    """Three-clause derivation chain with reward on the final fact."""
+    return HornSystem(
+        (
+            HornClause("boot", (), "foothold", 2.0),
+            HornClause("escalate", ("foothold",), "admin", 1.0),
+            HornClause("exfil", ("foothold", "admin"), "data", 0.5),
+        ),
+        rewards={"foothold": 0.0, "admin": 1.0, "data": 5.0},
+        budget=2.0,
+    )
+
+
 def test_horn_chain_shape():
-    system = fixture("horn_chain")
+    system = horn_chain()
     assert tuple(c.id for c in system.clauses) == ("boot", "escalate", "exfil")
     assert system.budget == 2.0
     assert [c.id for c in system.clauses if not c.antecedents] == ["boot"]
     assert system.clause("exfil").antecedents == frozenset({"foothold", "admin"})
     assert system.reward("data") == 5.0
-    assert validate_system(system) == []
 
 
 def test_proof_validity():
-    system = fixture("horn_chain")
+    system = horn_chain()
     validate_proof(system, Proof(("boot", "escalate", "exfil")))
     validate_proof(system, Proof(()))
     # clause repetition is allowed; antecedents must come strictly earlier
@@ -54,7 +65,7 @@ def test_proof_validity():
 
 
 def test_horn_payoff_and_cost():
-    system = fixture("horn_chain")
+    system = horn_chain()
     proof = Proof(("boot", "escalate", "exfil"))
     assert horn_payoff(system, proof) == 6.0
     assert derived_propositions(system, proof) == ("foothold", "admin", "data")
@@ -67,43 +78,9 @@ def test_horn_payoff_and_cost():
     assert horn_payoff(system, Proof(())) == 0.0
 
 
-def test_horn_validation_codes():
-    bad = HornSystem.build(
-        clauses=[
-            ("c1", (), "p", -1.0),
-            ("c1", ("p",), "q", 1.0),
-            ("bad id", (), "r", 1.0),
-        ],
-        rewards={"ghost": -2.0},
-        budget=0.0,
-    )
-    codes = {v.code for v in validate_system(bad)}
-    assert {"E-BUDGET", "E-SURFACE", "E-CLAUSE-ID", "E-ID", "E-REWARD"} <= codes
-    # rewards on undeclared propositions
-    lonely = HornSystem(frozenset({"p"}), (), {"q": 1.0}, 1.0)
-    assert "E-PROP" in {v.code for v in validate_system(lonely)}
-    # finite rewards whose total overflows
-    overflow = HornSystem.build(
-        clauses=[("c1", (), "p", 1.0), ("c2", ("p",), "q", 1.0)],
-        rewards={"p": 1e308, "q": 1e308},
-    )
-    assert [(v.code, v.message) for v in validate_system(overflow)] == [
-        ("E-REWARD", "rewards must have a finite total, got inf")
-    ]
-
-
-def test_horn_validation_rejects_surface_with_infinite_reciprocal():
-    tiny = HornSystem.build(clauses=[("c1", (), "p", 1e-310)], rewards={"p": 1.0})
-    assert [v.code for v in validate_system(tiny)] == ["E-SURFACE"]
-    assert validate_system(
-        HornSystem.build(clauses=[("c1", (), "p", 1e-300)], rewards={"p": 1.0})
-    ) == []
-
-
 def test_graph_embedding_preserves_functionals():
     system = fixture("fig2")
     embedding = graph_to_horn(system)
-    ensure_valid_system(embedding.horn)
     assert embedding.start_clause == "derive-start"
 
     attack = Attack(("left", "right"))
@@ -119,7 +96,6 @@ def test_graph_embedding_on_random_systems():
     for seed, system in sample_systems(10, base_seed=4600):
         rng = random.Random(seed)
         embedding = graph_to_horn(system)
-        ensure_valid_system(embedding.horn)
         alloc_amount = system.budget / max(len(system.edges), 1)
         alloc = DefenseAllocation(
             {e.id: alloc_amount / 2.0 for e in system.edges}, system.budget

@@ -83,14 +83,6 @@ def test_graph_doc_unions_extra_vertices():
     assert "island" in system.vertices
 
 
-def test_horn_doc_round_trip():
-    system = fixture("horn_chain")
-    doc = system_to_doc(system)
-    assert [c["id"] for c in doc["clauses"]] == ["boot", "escalate", "exfil"]
-    assert doc["clauses"][2]["antecedents"] == ["admin", "foothold"]
-    assert system_from_doc(doc) == system
-
-
 def test_load_system_semantic_errors(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text(
@@ -110,8 +102,8 @@ def test_load_system_semantic_errors(tmp_path):
     "doc, fragment",
     [
         ({"format_version": 2, "edges": []}, "format_version"),
-        ({"format_version": 1}, "exactly one of"),
-        ({"format_version": 1, "edges": [], "clauses": []}, "exactly one of"),
+        ({"format_version": 1, "start": "s", "budget": 1}, "'edges' must be a list, got None"),
+        ({"format_version": 1, "edges": [], "clauses": []}, r"unknown keys \['clauses'\]"),
         (
             {"format_version": 1, "edges": [], "start": "s", "budget": 1, "extra": 1},
             "unknown keys",
@@ -150,32 +142,27 @@ def test_load_system_semantic_errors(tmp_path):
             "quote it",
         ),
         ([1, 2], "mapping at top level"),
-        ({"format_version": 1, "budget": 1, "clauses": {}}, "'clauses' must be a list"),
+        ({"format_version": 1, "start": "s", "budget": 1, "edges": {}}, "'edges' must be a list"),
         (
             {
                 "format_version": 1,
+                "start": "s",
                 "budget": 1,
-                "clauses": [{"id": "c", "consequent": "p", "surface": 1, "w": 2}],
+                "edges": [{"id": "e", "src": "s", "dst": "a", "surface": 1, "w": 2}],
             },
-            r"clauses\[0\]: unknown keys \['w'\]",
+            r"edges\[0\]: unknown keys \['w'\]",
         ),
         (
-            {
-                "format_version": 1,
-                "budget": 1,
-                "clauses": [
-                    {"id": "c", "antecedents": "p", "consequent": "q", "surface": 1}
-                ],
-            },
-            r"'clauses\[0\]\.antecedents' must be a list of strings",
+            {"format_version": 1, "start": "s", "budget": 1, "vertices": "a", "edges": []},
+            r"'vertices' must be a list of strings",
         ),
         (
-            {"format_version": 1, "budget": 1, "clauses": [{"id": "c", "surface": 1}]},
-            r"'clauses\[0\]\.consequent' must be a non-empty string",
+            {"format_version": 1, "start": "s", "budget": 1, "edges": [{"id": "e", "surface": 1}]},
+            r"'edges\[0\]\.src' must be a non-empty string",
         ),
         (
-            {"format_version": 1, "budget": 1, "clauses": [], "start": "s"},
-            r"unknown keys \['start'\]",
+            {"format_version": 1, "start": "s", "budget": 1, "edges": [], "propositions": []},
+            r"unknown keys \['propositions'\]",
         ),
         ({"format_version": True, "edges": []}, "'format_version' must be an integer"),
         ({"format_version": 1.0, "edges": []}, "'format_version' must be an integer"),
@@ -231,11 +218,6 @@ def _system_docs(rows_key, fields, top_keys):
         {"id": str, "src": str, "dst": str, "surface": float},
         {"start": str, "vertices": list},
     )
-    | _system_docs(
-        "clauses",
-        {"id": str, "antecedents": list, "consequent": str, "surface": float},
-        {"propositions": list},
-    )
     | _VALUES
 )
 @settings(max_examples=200, deadline=None)
@@ -244,6 +226,20 @@ def test_system_from_doc_raises_only_format_or_validation_errors(doc):
         system_from_doc(doc)
     except (FileFormatError, ValidationError):
         pass
+
+
+@given(
+    _system_docs(
+        "clauses",
+        {"id": str, "antecedents": list, "consequent": str, "surface": float},
+        {"propositions": list},
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_system_from_doc_refuses_clause_documents(doc):
+    # Horn systems exist only in memory, built from graph systems.
+    with pytest.raises(FileFormatError, match="unknown keys"):
+        system_from_doc(doc)
 
 
 def test_load_system_syntax_and_io_errors(tmp_path):

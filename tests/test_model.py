@@ -217,11 +217,6 @@ def test_restrict_edges():
         restrict_edges(system, ["ghost"])
 
 
-def test_validate_system_rejects_foreign_types():
-    with pytest.raises(TypeError):
-        validate_system(object())
-
-
 # ---------------------------------------------------------------------------
 # properties
 
