@@ -82,8 +82,19 @@ def _warn_on_small_surfaces(system: System) -> None:
             f"ceilings assume surfaces of at least 1; edges {small} are smaller, "
             "so the measured value may exceed the reported ceiling",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _hindsight_score(trace: GameTrace) -> tuple[float, float, dict[str, float]]:
+    """Total costs of the hindsight-best fixed allocation and of the played
+    ones, with the inputs every ceiling echoes.  The sub-unit surface
+    warning names the caller of ``profit_regret`` or ``roa_ratio``."""
+    system = trace.system
+    _warn_on_small_surfaces(system)
+    _, best_cost = hindsight_from_usage(system, trace.edge_usage())
+    inputs = {"budget": system.budget, "num_edges": len(system.edges), "rounds": trace.rounds}
+    return best_cost, sum(trace.costs()), inputs
 
 
 def _regret_ceiling(
@@ -109,22 +120,13 @@ def profit_regret(trace: GameTrace) -> BoundReport:
             "the regret ceiling applies to the reactive-hidden defender; "
             f"this trace was played by {trace.defender.get('policy')!r}"
         )
-    system = trace.system
-    _warn_on_small_surfaces(system)
-    t = trace.rounds
-    _, best_cost = hindsight_from_usage(system, trace.edge_usage())
-    played_cost = sum(trace.costs())
-    measured = (best_cost - played_cost) / t
-    log_edges = math.log(len(system.edges))
+    best_cost, played_cost, inputs = _hindsight_score(trace)
+    system, t = trace.system, trace.rounds
     mean_inverse_surface = fmean(1.0 / e.surface for e in system.edges)
+    inputs["mean_inverse_surface"] = mean_inverse_surface
+    log_edges = math.log(len(system.edges))
     bound_rhs = _regret_ceiling(system.budget, log_edges, mean_inverse_surface, t)
-    inputs = {
-        "budget": system.budget,
-        "num_edges": len(system.edges),
-        "rounds": t,
-        "mean_inverse_surface": mean_inverse_surface,
-    }
-    return _report("profit-regret", measured, bound_rhs, inputs)
+    return _report("profit-regret", (best_cost - played_cost) / t, bound_rhs, inputs)
 
 
 def roa_ratio(trace: GameTrace, alpha: float) -> BoundReport:
@@ -140,17 +142,9 @@ def roa_ratio(trace: GameTrace, alpha: float) -> BoundReport:
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    system = trace.system
-    _warn_on_small_surfaces(system)
-    _, best_cost = hindsight_from_usage(system, trace.edge_usage())
-    played_cost = sum(trace.costs())
-    inputs = {
-        "budget": system.budget,
-        "num_edges": len(system.edges),
-        "rounds": trace.rounds,
-        "alpha": alpha,
-        "perimeter_surface": sum(e.surface for e in system.start_edges()),
-    }
+    best_cost, played_cost, inputs = _hindsight_score(trace)
+    inputs["alpha"] = alpha
+    inputs["perimeter_surface"] = sum(e.surface for e in trace.system.start_edges())
     if played_cost == 0:
         return _report("roa-ratio", math.nan, 1.0 + alpha, inputs, undefined=True)
     return _report("roa-ratio", best_cost / played_cost, 1.0 + alpha, inputs)

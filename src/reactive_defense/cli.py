@@ -4,20 +4,20 @@ Subcommands: ``simulate`` plays a repeated game and records the trace;
 ``minimax`` and ``mincut`` print one-shot proactive allocations;
 ``verify-bounds`` replays a configured experiment and checks the
 guarantee ceilings; ``lower-bound`` runs the two-route gap experiment;
-``fixtures`` lists or emits the built-in systems.
+``fixtures`` lists or emits the built-in systems.  Every file is
+written by ``io``.
 
 Exit codes: 0 success, 2 bad input (unreadable or malformed files,
-invalid systems, unknown policies, bad flags), 3 a checked ceiling was
-violated, 1 unexpected failure.
+invalid systems, unknown policies, bad flags, more attacks than
+``paths.DEFAULT_ENUMERATION_LIMIT``) or an unwritable output, 3 a checked
+ceiling was violated, 1 unexpected failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
 
 from .analysis import (
     exact_two_edge_gap,
@@ -43,19 +43,21 @@ from .defenders import (
     minimax_proactive_defense,
     uniform_defense,
 )
-from .engine import run_game
-from .fixtures import FIXTURES, fixture
+from .engine import GameTrace, run_game
+from .fixtures import FIXTURES
 from .io import (
+    ExperimentConfig,
     FileFormatError,
+    emit_fixtures,
     load_attack_sequence,
     load_config,
     load_fixed_allocation,
     resolve_system,
-    save_system,
+    write_bounds,
     write_trace,
 )
-from .model import InvalidAttackError, System, ValidationError
-from .paths import DEFAULT_ENUMERATION_LIMIT, EnumerationLimitError
+from .model import DefenseAllocation, System
+from .paths import EnumerationLimitError
 
 DEFENDER_SPECS = (
     "reactive, known[:beta], uniform, myopic, minimax-roa, minimax-profit, "
@@ -69,12 +71,6 @@ ATTACKER_SPECS = (
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
-
-
-def _out_dir(out: str | None) -> str:
-    if out:
-        return out
-    return os.environ.get("REACTIVE_DEFENSE_OUT", "out")
 
 
 def build_defender(spec: str, system: System) -> Defender:
@@ -110,7 +106,7 @@ def build_defender(spec: str, system: System) -> Defender:
     if name == "fixed":
         if not arg:
             raise ValueError("fixed defender needs a file: fixed:<alloc.json>")
-        allocation = load_fixed_allocation(arg, system.budget)
+        allocation = load_fixed_allocation(arg, system)
         return FixedDefender(lambda view: allocation, {"policy": "fixed"})
     raise ValueError(f"unknown defender {spec!r}; known: {DEFENDER_SPECS}")
 
@@ -144,12 +140,24 @@ def build_attacker(spec: str) -> Attacker:
 # subcommands
 
 
+def _play(run: argparse.Namespace | ExperimentConfig) -> GameTrace:
+    """Play the game that ``simulate``'s flags or a config describe."""
+    system = resolve_system(run.system)
+    defender = build_defender(run.defender, system)
+    attacker = build_attacker(run.attacker)
+    return run_game(system, defender, attacker, rounds=run.rounds, seed=run.seed)
+
+
+def _print_allocation(system: System, allocation: DefenseAllocation) -> None:
+    for edge in system.edges:
+        amount = allocation.get(edge.id)
+        if amount > 0:
+            print(f"d {edge.id} {_fmt(amount)}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    system = resolve_system(args.system)
-    defender = build_defender(args.defender, system)
-    attacker = build_attacker(args.attacker)
-    trace = run_game(system, defender, attacker, rounds=args.rounds, seed=args.seed)
-    paths = write_trace(trace, _out_dir(args.out))
+    trace = _play(args)
+    paths = write_trace(trace, args.out or os.environ.get("REACTIVE_DEFENSE_OUT", "out"))
     costs = trace.costs()
     payoffs = trace.payoffs()
     print(f"rounds {trace.rounds}")
@@ -162,13 +170,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_minimax(args: argparse.Namespace) -> int:
     system = resolve_system(args.system)
-    result = minimax_proactive_defense(system, args.objective, limit=args.limit)
+    result = minimax_proactive_defense(system, args.objective)
     print(f"objective {args.objective}")
     print(f"value {_fmt(result.value)}")
-    for edge in system.edges:
-        amount = result.allocation.get(edge.id)
-        if amount > 0:
-            print(f"d {edge.id} {_fmt(amount)}")
+    _print_allocation(system, result.allocation)
     return 0
 
 
@@ -176,21 +181,13 @@ def _cmd_mincut(args: argparse.Namespace) -> int:
     system = resolve_system(args.system)
     allocation = mincut_perimeter_defense(system, args.target)
     print(f"target {args.target}")
-    for edge in system.edges:
-        amount = allocation.get(edge.id)
-        if amount > 0:
-            print(f"d {edge.id} {_fmt(amount)}")
+    _print_allocation(system, allocation)
     return 0
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    system = resolve_system(config.system)
-    defender = build_defender(config.defender, system)
-    attacker = build_attacker(config.attacker)
-    trace = run_game(
-        system, defender, attacker, rounds=config.rounds, seed=config.seed
-    )
+    trace = _play(config)
     reports = []
     for check in config.checks:
         if check == "profit_regret":
@@ -198,14 +195,8 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
         else:
             reports.append(roa_ratio(trace, config.alpha))
     if args.out:
-        out = Path(_out_dir(args.out))
-        write_trace(trace, out)
-        bounds_path = out / "bounds.json"
-        bounds_path.write_text(
-            json.dumps({"reports": [r.as_dict() for r in reports]}, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {bounds_path}")
+        write_trace(trace, args.out)
+        print(f"wrote {write_bounds(reports, args.out)}")
     for report in reports:
         status = "PASS" if report.satisfied else "FAIL"
         print(
@@ -242,14 +233,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         for name in sorted(FIXTURES):
             print(name)
         return 0
-    out = Path(args.emit)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise FileFormatError("E-IO", f"cannot create {out}: {exc}") from exc
-    for name in sorted(FIXTURES):
-        path = out / f"{name}.yaml"
-        save_system(fixture(name), path, name=name, header=f"built-in fixture {name}")
+    for path in emit_fixtures(args.emit):
         print(f"wrote {path}")
     return 0
 
@@ -279,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimax", help="one-shot allocation optimizing the worst case")
     p.add_argument("--system", required=True, help="fixture name or system file")
     p.add_argument("--objective", choices=("roa", "profit"), default="roa")
-    p.add_argument(
-        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT, help="path enumeration cap"
-    )
     p.set_defaults(func=_cmd_minimax)
 
     p = sub.add_parser("mincut", help="perimeter defense from a minimum cut")
@@ -315,15 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ValidationError, InvalidAttackError, EnumerationLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        message = exc.args[0] if exc.args else str(exc)
+    # ValidationError and InvalidAttackError are ValueErrors.
+    except (FileFormatError, EnumerationLimitError, KeyError, ValueError) as exc:
+        # str() of a KeyError would quote its message.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)

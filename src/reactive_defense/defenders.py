@@ -26,7 +26,7 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .model import DefenseAllocation, System, SystemView, zero_allocation
-from .paths import DEFAULT_ENUMERATION_LIMIT, PathSet
+from .paths import PathSet
 
 
 def beta_schedule(num_units: int, round_index: int) -> float:
@@ -47,12 +47,13 @@ def _annealed_beta(log_units: float, round_index: int) -> float:
 
 
 def horizon_beta(num_units: int, horizon: int) -> float:
-    """Fixed learning rate for a known horizon: 1 / (1 + sqrt(2 ln(n) / T))."""
+    """Fixed learning rate for a known horizon: 1 / (1 + sqrt(2 ln(n) / T)),
+    the annealed rate of round T - 1."""
     if num_units < 1:
         raise ValueError(f"need at least one unit, got {num_units}")
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    return 1.0 / (1.0 + math.sqrt(2.0 * math.log(num_units) / horizon))
+    return _annealed_beta(math.log(num_units), horizon - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +235,10 @@ class MinimaxResult:
     objective: str
 
 
-def minimax_proactive_defense(
-    system: System, objective: str = "roa", limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> MinimaxResult:
+def minimax_proactive_defense(system: System, objective: str = "roa") -> MinimaxResult:
     """Fixed allocation minimizing the attacker's best achievable objective.
 
-    The minimax LP over the enumerated attacks (up to ``limit``) is solved
+    The minimax LP over the enumerated attacks is solved
     through its dual, whose shadow prices are the allocation.  ``"roa"``:
     min sum(u) s.t. rate(a) . u >= payoff(a) for positive payoffs, u >= 0,
     played as budget * u / sum(u).  ``"profit"``: min t s.t. t + rate(a) . d
@@ -249,7 +248,7 @@ def minimax_proactive_defense(
     """
     if objective not in ("roa", "profit"):
         raise ValueError(f"unknown objective {objective!r}")
-    pathset = PathSet.enumerate(system, limit)
+    pathset = PathSet.enumerate(system)
     payoffs, rates, budget = pathset.payoffs, pathset.rate_rows, system.budget
     if not (payoffs > 0).any():
         # Nothing is worth attacking; any feasible allocation concedes 0.

@@ -1,4 +1,4 @@
-"""File formats: YAML system files, trace outputs, experiment configs.
+"""File formats: YAML system files, trace and bounds outputs, experiment configs.
 
 System files (format_version 1) describe a graph system::
 
@@ -27,12 +27,16 @@ system document and totals).  The first two are streamed a round at a
 time, so writing them takes memory independent of the game's length.
 Floats are written with ``repr`` so they round-trip binary64 exactly.
 Only ``trace.csv`` is read back, as the move list of a replay.
+
+Every output file is written here, its directory created first; one
+that cannot be made raises :class:`FileFormatError` with code E-IO.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from os import PathLike
 from pathlib import Path
@@ -40,6 +44,7 @@ from typing import NoReturn
 
 import yaml
 
+from .analysis import BoundReport
 from .attackers import MultiAttackRound
 from .engine import GameTrace
 from .fixtures import FIXTURES, fixture
@@ -111,6 +116,16 @@ def _read_text(path: str | PathLike) -> str:
         raise FileFormatError("E-SYNTAX", f"{path}: not UTF-8 text ({exc})") from exc
     except ValueError as exc:  # a path with a NUL byte
         raise FileFormatError("E-IO", f"cannot read {str(path)!r}: {exc}") from exc
+
+
+def _output_dir(path: str | PathLike) -> Path:
+    """``path`` as a directory, created with its parents if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FileFormatError("E-IO", f"cannot create {out}: {exc}") from exc
+    return out
 
 
 def _write_text(path: str | PathLike, text: str) -> None:
@@ -263,6 +278,16 @@ def save_system(
     _write_text(path, text)
 
 
+def emit_fixtures(out_dir: str | PathLike) -> Iterator[Path]:
+    """Write every built-in fixture as ``<name>.yaml`` into ``out_dir``,
+    yielding each path once it is written."""
+    out = _output_dir(out_dir)
+    for name in sorted(FIXTURES):
+        path = out / f"{name}.yaml"
+        save_system(fixture(name), path, name=name, header=f"built-in fixture {name}")
+        yield path
+
+
 def resolve_system(spec: str) -> System:
     """Resolve a fixture name or a system file path."""
     if spec in FIXTURES:
@@ -293,11 +318,7 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
     """
     if not trace.records:
         raise ValueError("cannot write a trace with no rounds")
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise FileFormatError("E-IO", f"cannot create {out}: {exc}") from exc
+    out = _output_dir(out_dir)
 
     trace_path = out / "trace.csv"
     try:
@@ -351,6 +372,15 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
     return {"trace": trace_path, "allocations": alloc_path, "summary": summary_path}
 
 
+def write_bounds(reports: Iterable[BoundReport], out_dir: str | PathLike) -> Path:
+    """Write ``bounds.json`` (the reports' ``as_dict`` forms) into
+    ``out_dir`` and return its path."""
+    path = _output_dir(out_dir) / "bounds.json"
+    doc = {"reports": [r.as_dict() for r in reports]}
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    return path
+
+
 def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRound, ...]:
     """Replayable per-round moves from a trace.csv file."""
     text = _read_text(path)
@@ -384,9 +414,13 @@ def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRoun
     return tuple(moves)
 
 
-def _load_json_mapping(path: str | PathLike) -> dict:
-    """Top-level mapping of a JSON file: E-IO if unreadable, E-SYNTAX if
-    not JSON, E-SCHEMA if not a mapping."""
+def load_fixed_allocation(path: str | PathLike, system: System) -> DefenseAllocation:
+    """One allocation from an edge-to-amount JSON file for ``system``.
+
+    E-IO if unreadable, E-SYNTAX if not JSON, E-SCHEMA if not a mapping
+    or keyed by edges the system lacks; amounts infeasible under its
+    budget or NaN raise ``ValueError``.
+    """
     text = _read_text(path)
     try:
         doc = json.loads(text)
@@ -395,16 +429,10 @@ def _load_json_mapping(path: str | PathLike) -> dict:
         raise FileFormatError("E-SYNTAX", f"{path}: not parseable JSON ({exc})") from exc
     if not isinstance(doc, dict):
         _schema(str(path), "expected a mapping at top level")
-    return doc
-
-
-def load_fixed_allocation(path: str | PathLike, budget: float) -> DefenseAllocation:
-    """One allocation from an edge-to-amount JSON file, checked against
-    ``budget`` (infeasible or NaN amounts raise ``ValueError``)."""
-    doc = _load_json_mapping(path)
+    _reject_unknown(doc, set(system.edge_ids), str(path))
     return DefenseAllocation(
-        {unit: _number(amount, f"edge {unit}", str(path)) for unit, amount in doc.items()},
-        budget,
+        {edge: _number(amount, f"edge {edge}", str(path)) for edge, amount in doc.items()},
+        system.budget,
     )
 
 

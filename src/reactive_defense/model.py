@@ -32,7 +32,7 @@ FEASIBILITY_RTOL = 1e-9
 # Marker returned by roa/cumulative_roa for the 0/0 case.
 ROA_UNDEFINED = math.nan
 
-_ID_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
+_ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def validate_system(system: System) -> list[Violation]:
     if not (math.isfinite(system.budget) and system.budget > 0):
         out.append(Violation("E-BUDGET", f"budget must be positive, got {system.budget}"))
     for v in sorted(system.vertices):
-        if not _ID_PATTERN.match(v):
+        if not _ID_PATTERN.fullmatch(v):
             out.append(Violation("E-ID", f"vertex id {v!r} is not a plain token"))
     if system.start not in system.vertices:
         out.append(Violation("E-START", f"start vertex {system.start!r} is not declared"))
@@ -249,7 +249,7 @@ def validate_system(system: System) -> list[Violation]:
         out.append(Violation("E-REWARD", f"rewards must have a finite total, got {total}"))
     seen: set[str] = set()
     for e in system.edges:
-        if not _ID_PATTERN.match(e.id):
+        if not _ID_PATTERN.fullmatch(e.id):
             out.append(Violation("E-ID", f"edge id {e.id!r} is not a plain token"))
         if e.id in seen:
             out.append(Violation("E-EDGE-ID", f"duplicate edge id {e.id!r}"))

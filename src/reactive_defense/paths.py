@@ -16,6 +16,7 @@ import numpy as np
 
 from .model import Attack, DefenseAllocation, System
 
+# The attack cap of every command; a larger system is refused, not truncated.
 DEFAULT_ENUMERATION_LIMIT = 10_000
 
 
@@ -24,7 +25,7 @@ class EnumerationLimitError(RuntimeError):
 
     def __init__(self, limit: int):
         self.limit = limit
-        super().__init__(f"more than {limit} edge-simple attacks; raise the limit")
+        super().__init__(f"more than {limit} edge-simple attacks")
 
 
 @dataclass(frozen=True)

@@ -105,10 +105,12 @@ def test_sub_unit_surfaces_trigger_warning():
     trace = run_game(
         fixture("fig2"), ReactiveDefender(), BestResponseAttacker("roa"), rounds=5
     )
-    with pytest.warns(RuntimeWarning, match="surfaces of at least 1"):
+    with pytest.warns(RuntimeWarning, match="surfaces of at least 1") as regret:
         profit_regret(trace)
-    with pytest.warns(RuntimeWarning, match="surfaces of at least 1"):
+    with pytest.warns(RuntimeWarning, match="surfaces of at least 1") as ratio:
         roa_ratio(trace, alpha=1.0)
+    # the warning points at the caller of the check
+    assert [w.filename for w in (*regret, *ratio)] == [__file__, __file__]
 
 
 def test_roa_ratio_accepts_fixed_defenses():

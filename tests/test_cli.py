@@ -216,6 +216,49 @@ def test_simulate_rejects_nan_fixed_allocation(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_rejects_fixed_allocation_on_unknown_edges(tmp_path, capsys):
+    alloc = tmp_path / "typo.json"
+    alloc.write_text('{"lfet": 10.0}')
+    code, stdout, err = run_cli(
+        capsys,
+        "simulate",
+        "--system",
+        "fig2",
+        "--defender",
+        f"fixed:{alloc}",
+        "-T",
+        "3",
+        "--out",
+        str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert "[E-SCHEMA]" in err and "unknown keys ['lfet']" in err
+    assert stdout == ""
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("where", ["edge", "vertex"])
+def test_simulate_rejects_ids_ending_in_newline(tmp_path, capsys, where):
+    edge, vertex = ("e1\n", "r") if where == "edge" else ("e1", "r\n")
+    doc = {
+        "format_version": 1,
+        "start": "s",
+        "budget": 1.0,
+        "rewards": {vertex: 1.0},
+        "edges": [{"id": edge, "src": "s", "dst": vertex, "surface": 1.0}],
+    }
+    path = tmp_path / "newline.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--system", str(path), "-T", "2", "--out", str(out)
+    )
+    assert code == 2
+    assert "E-ID" in err and f"{where} id {(edge if where == 'edge' else vertex)!r}" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_simulate_rejects_oversize_integer_fixed_allocation(tmp_path, capsys):
     alloc = tmp_path / "big.json"
     alloc.write_text('{"left": 1%s}' % ("0" * 400))
@@ -511,6 +554,18 @@ def test_verify_bounds_pass(tmp_path, capsys):
     assert len(doc["reports"]) == 2
     assert all(report["satisfied"] for report in doc["reports"])
     assert (out / "trace.csv").exists()
+
+
+def test_verify_bounds_unwritable_bounds_file_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    out = tmp_path / "bounds-out"
+    (out / "bounds.json").mkdir(parents=True)
+    code, stdout, err = run_cli(
+        capsys, "verify-bounds", "--config", str(config), "--out", str(out)
+    )
+    assert code == 2
+    assert "[E-IO]" in err and "bounds.json" in err
+    assert "PASS" not in stdout
 
 
 def test_verify_bounds_violation_exits_3(tmp_path, capsys):

@@ -39,7 +39,13 @@ from reactive_defense.io import (
     system_to_doc,
     write_trace,
 )
-from reactive_defense.model import Attack, DefenseAllocation, ValidationError, zero_allocation
+from reactive_defense.model import (
+    Attack,
+    DefenseAllocation,
+    System,
+    ValidationError,
+    zero_allocation,
+)
 from reactive_defense.fixtures import FIXTURES
 
 
@@ -593,6 +599,18 @@ def test_load_attack_sequence_raises_only_format_errors(with_header, body):
     _read_fuzzed(load_attack_sequence, body)
 
 
+def test_load_fixed_allocation_rejects_unknown_edges(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text('{"lfet": 10.0, "left": 1.0, "zz": 0.0}')
+    with pytest.raises(FileFormatError, match=r"\[E-SCHEMA\] .*unknown keys \['lfet', 'zz'\]"):
+        load_fixed_allocation(path, fixture("fig2"))
+    path.write_text('{"left": 4.0, "right": 6.0}')
+    assert dict(load_fixed_allocation(path, fixture("fig2")).alloc) == {
+        "left": 4.0,
+        "right": 6.0,
+    }
+
+
 @given(
     st.dictionaries(_NAMES, _VALUES, max_size=3).map(json.dumps)
     | _VALUES.map(json.dumps)
@@ -601,8 +619,10 @@ def test_load_attack_sequence_raises_only_format_errors(with_header, body):
 )
 @settings(max_examples=200, deadline=None)
 def test_load_fixed_allocation_raises_only_format_or_feasibility_errors(text):
+    # Edges named by the strategies above, so feasibility checks are reached.
+    system = System.build(edges=[(eid, "s", "r", 1.0) for eid in ("a", "b", "e")])
     try:
-        _read_fuzzed(lambda path: load_fixed_allocation(path, 1.0), text)
+        _read_fuzzed(lambda path: load_fixed_allocation(path, system), text)
     except ValueError as exc:
         # DefenseAllocation's own checks on well-formed amounts
         assert re.search("negative or NaN allocation|exceeds budget", str(exc)), exc

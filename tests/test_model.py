@@ -207,6 +207,16 @@ def test_validation_codes():
     ]
 
 
+def test_ids_ending_in_newline_are_not_plain_tokens():
+    # "$" would match before a trailing newline; ids must match whole.
+    for system, message in [
+        (System.build(edges=[("e1\n", "s", "r", 1.0)]), "edge id 'e1\\n'"),
+        (System.build(edges=[("e1", "s", "r\n", 1.0)]), "vertex id 'r\\n'"),
+    ]:
+        violations = [(v.code, v.message) for v in validate_system(system)]
+        assert violations == [("E-ID", f"{message} is not a plain token")]
+
+
 def test_restrict_edges():
     system = fixture("fig2")
     sub = restrict_edges(system, ["left"])
