@@ -87,27 +87,25 @@ def build_defender(spec: str, system: System) -> Defender:
             raise ValueError(f"known defender takes a numeric beta, got {arg!r}") from None
         return KnownEdgesDefender(beta)
     if name == "uniform":
-        return FixedDefender(uniform_defense, {"policy": "uniform"})
+        return FixedDefender(uniform_defense(system), {"policy": "uniform"})
     if name == "myopic":
         return MyopicDefender()
     if name in ("minimax-roa", "minimax-profit"):
         objective = name.removeprefix("minimax-")
         return FixedDefender(
-            lambda view: minimax_proactive_defense(view, objective).allocation,
+            minimax_proactive_defense(system, objective).allocation,
             {"policy": "minimax", "objective": objective},
         )
     if name == "mincut":
         if not arg:
             raise ValueError("mincut defender needs a target: mincut:<vertex>")
         return FixedDefender(
-            lambda view: mincut_perimeter_defense(view, arg),
-            {"policy": "mincut", "target": arg},
+            mincut_perimeter_defense(system, arg), {"policy": "mincut", "target": arg}
         )
     if name == "fixed":
         if not arg:
             raise ValueError("fixed defender needs a file: fixed:<alloc.json>")
-        allocation = load_fixed_allocation(arg, system)
-        return FixedDefender(lambda view: allocation, {"policy": "fixed"})
+        return FixedDefender(load_fixed_allocation(arg, system), {"policy": "fixed"})
     raise ValueError(f"unknown defender {spec!r}; known: {DEFENDER_SPECS}")
 
 
@@ -295,6 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Before Python 3.13, argparse reads ``--option=--`` as an empty list.
+        for name, value in vars(args).items():
+            if value == []:
+                raise ValueError(f"argument --{name.replace('_', '-')}: expected one argument")
         return args.func(args)
     # ValidationError and InvalidAttackError are ValueErrors.
     except (FileFormatError, EnumerationLimitError, KeyError, ValueError) as exc:

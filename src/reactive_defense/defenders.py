@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
 
+from .attackers import select_best_response
 from .model import DefenseAllocation, System, SystemView, zero_allocation
 from .paths import PathSet
 
@@ -143,16 +144,18 @@ def reactive_hidden_step(
     """Feed one round's edge usage to ``learner``; return its next shares.
 
     ``surfaces`` must cover the attacked edges; edges outside the domain
-    join it.  Each attacked edge's score drops by its usage over surface.
-    The input is checked before the learner changes.
+    join it.  Each attacked edge's usage must be finite and nonnegative,
+    and its score drops by that usage over surface.  The input is
+    checked before the learner changes.
     """
     if not edge_weights:
         raise ValueError("round contained no attacked edges")
     revealed: dict[str, float] = {}
     column: dict[str, float] = {}
     for eid, weight in edge_weights.items():
-        if weight < 0:
-            raise ValueError(f"negative attack weight {weight} on {eid!r}")
+        if not 0 <= weight < math.inf:
+            kind = "negative" if weight < 0 else "non-finite"
+            raise ValueError(f"{kind} attack weight {weight} on {eid!r}")
         if eid not in surfaces:
             raise ValueError(f"no surface reported for attacked edge {eid!r}")
         w = surfaces[eid]
@@ -243,8 +246,8 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
     min sum(u) s.t. rate(a) . u >= payoff(a) for positive payoffs, u >= 0,
     played as budget * u / sum(u).  ``"profit"``: min t s.t. t + rate(a) . d
     >= payoff(a), sum(d) <= budget, t, d >= 0 (an attacker may abstain).
-    The value is the allocation's worst case over the attacks, and
-    RuntimeError is raised unless the dual optimum matches it.
+    The value is the attacker's best response to the allocation (floored
+    at 0), and RuntimeError is raised unless the dual optimum matches it.
     """
     if objective not in ("roa", "profit"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -260,8 +263,6 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
             (rates / payoffs[:, None]).T, np.ones(num_edges), np.ones(len(payoffs))
         )
         allocation = _solution_allocation(budget * u / u.sum(), system)
-        with np.errstate(divide="ignore"):
-            value = float((payoffs / (rates @ pathset.allocation_vector(allocation))).max())
         scale = bound = bound / budget
     else:
         matrix = np.block(
@@ -274,8 +275,8 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
         # smaller, their total may overshoot it and is cut back.
         d = prices[1:] * min(1.0, budget / max(prices[1:].sum(), budget))
         allocation = _solution_allocation(d, system)
-        value = max(0.0, float((payoffs - pathset.costs(allocation)).max()))
         scale = float(payoffs.max())
+    value = max(0.0, select_best_response(pathset, allocation, objective).value)
     if not abs(value - bound) <= 1e-9 * scale:
         raise RuntimeError(f"minimax solve failed: value {value!r}, dual bound {bound!r}")
     return MinimaxResult(allocation, value, objective)
@@ -405,21 +406,23 @@ class Defender(ABC):
     Reactive policies start from a ``SystemView`` (the start vertex and
     the budget, no edges and no rewards), learn edges only from round
     feedback and must keep allocations inside the revealed set;
-    proactive policies receive the full ``System`` once at start.
-    ``last_beta`` mirrors the learning rate behind the latest committed
-    allocation, for trace records.
+    proactive policies receive the full ``System`` once at start.  A
+    policy holds the allocation it will commit next in ``allocation``,
+    set in ``start`` or ``observe``; ``last_beta`` mirrors the learning
+    rate behind it, for trace records.
     """
 
     reactive: ClassVar[bool] = False
     last_beta: float | None = None
+    allocation: DefenseAllocation | None = None
 
     @abstractmethod
     def start(self, view: System | SystemView, horizon: int) -> None:
         """Reset for a fresh game."""
 
-    @abstractmethod
     def commit(self, round_index: int) -> DefenseAllocation:
         """Allocation for the coming round, committed before the attack."""
+        return self.allocation
 
     def observe(self, feedback) -> None:
         """Consume the round's revealed attacks (see engine.RoundFeedback)."""
@@ -434,7 +437,6 @@ class ReactiveDefender(Defender):
 
     reactive = True
     _learner: HedgeLearner | None = None
-    _pending: DefenseAllocation | None = None
 
     def _new_learner(self, view: SystemView, horizon: int) -> HedgeLearner:
         return HedgeLearner(view.budget)
@@ -443,9 +445,6 @@ class ReactiveDefender(Defender):
         self._learner = self._new_learner(view, horizon)
         self._hold(self._learner.shares())
 
-    def commit(self, round_index: int) -> DefenseAllocation:
-        return self._pending
-
     def observe(self, feedback) -> None:
         self._hold(
             reactive_hidden_step(self._learner, feedback.edge_weights, feedback.surfaces)
@@ -453,7 +452,7 @@ class ReactiveDefender(Defender):
 
     def _hold(self, shares: list[float]) -> None:
         learner = self._learner
-        self._pending = DefenseAllocation(dict(zip(learner.index, shares)), learner.budget)
+        self.allocation = DefenseAllocation(dict(zip(learner.index, shares)), learner.budget)
         self.last_beta = learner.beta
 
     def describe(self) -> dict[str, Any]:
@@ -487,39 +486,27 @@ class MyopicDefender(Defender):
     """Overreacting baseline: all budget onto the last round's attack edges."""
 
     reactive = True
-    _pending: DefenseAllocation | None = None
 
     def start(self, view: SystemView, horizon: int) -> None:
-        self._pending = zero_allocation(view.budget)
-
-    def commit(self, round_index: int) -> DefenseAllocation:
-        return self._pending
+        self.allocation = zero_allocation(view.budget)
 
     def observe(self, feedback) -> None:
-        self._pending = proportional_defense(self._pending.budget, feedback.surfaces)
+        self.allocation = proportional_defense(self.allocation.budget, feedback.surfaces)
 
     def describe(self) -> dict[str, Any]:
         return {"policy": "myopic"}
 
 
 class FixedDefender(Defender):
-    """Plays ``allocate(system)``, computed at start, every round;
+    """Plays the ``allocation`` it is built with every round;
     ``descriptor`` is recorded in traces."""
 
-    def __init__(
-        self,
-        allocate: Callable[[System], DefenseAllocation],
-        descriptor: Mapping[str, Any],
-    ):
-        self._allocate = allocate
+    def __init__(self, allocation: DefenseAllocation, descriptor: Mapping[str, Any]):
+        self.allocation = allocation
         self._descriptor = dict(descriptor)
-        self._allocation: DefenseAllocation | None = None
 
     def start(self, view: System, horizon: int) -> None:
-        self._allocation = self._allocate(view)
-
-    def commit(self, round_index: int) -> DefenseAllocation:
-        return self._allocation
+        pass
 
     def describe(self) -> dict[str, Any]:
         return dict(self._descriptor)

@@ -33,12 +33,12 @@ from .defenders import Defender
 from .model import (
     Attack,
     DefenseAllocation,
+    InvalidAttackError,
     System,
     SystemView,
     _cost,
     ensure_valid_system,
     payoff,
-    validate_attack,
 )
 
 
@@ -149,7 +149,8 @@ def run_game(
         attacks = move.attacks if isinstance(move, MultiAttackRound) else (move,)
         for a in attacks:
             if a.path not in payoffs:
-                validate_attack(system, a, require_nonempty=True)
+                if not a.path:
+                    raise InvalidAttackError("attack path is empty")
                 payoffs[a.path] = payoff(system, a)
         newly: list[str] = []
         surfaces: dict[str, float] = {}

@@ -30,23 +30,21 @@ def layered_chain() -> System:
     )
 
 
-def star(leaves: int = 4, hot_reward: float = 10.0, hot_index: int = 0) -> System:
-    """Star of unit-surface edges with all reward on one leaf.
+def star(leaves: int = 4) -> System:
+    """Star of unit-surface edges with all reward (10) on the first leaf.
 
     A defender spreading uniformly concedes ``leaves`` times the ratio of
     one that concentrates on the rewarded leaf.
     """
     if leaves < 1:
         raise ValueError(f"need at least one leaf, got {leaves}")
-    if not 0 <= hot_index < leaves:
-        raise ValueError(f"hot_index {hot_index} out of range for {leaves} leaves")
     width = len(str(leaves - 1))
     edges = []
     rewards = {}
     for i in range(leaves):
         leaf = f"v{i:0{width}d}"
         edges.append((f"b{i:0{width}d}", "s", leaf, 1.0))
-        rewards[leaf] = hot_reward if i == hot_index else 0.0
+        rewards[leaf] = 10.0 if i == 0 else 0.0
     return System.build(edges=edges, rewards=rewards, start="s", budget=1.0)
 
 

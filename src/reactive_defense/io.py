@@ -456,7 +456,6 @@ class ExperimentConfig:
     seed: int
     checks: tuple[str, ...]
     alpha: float | None
-    name: str | None = None
 
 
 def load_config(path: str | PathLike) -> ExperimentConfig:
@@ -493,9 +492,9 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
             bad(f"alpha must be positive, got {alpha}")
     if "roa_ratio" in checks and alpha is None:
         bad("the roa_ratio check needs a positive alpha")
-    name = None
+    # The name only labels the file, but a malformed one is still refused.
     if doc.get("name") is not None:
-        name = _string(doc, "name", source)
+        _string(doc, "name", source)
     return ExperimentConfig(
         system=system,
         defender=defender,
@@ -504,5 +503,4 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
         seed=seed,
         checks=checks,
         alpha=alpha,
-        name=name,
     )

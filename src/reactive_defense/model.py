@@ -275,15 +275,13 @@ def ensure_valid_system(system: System) -> None:
         raise ValidationError(violations)
 
 
-def validate_attack(system: System, attack: Attack, require_nonempty: bool = False) -> None:
+def validate_attack(system: System, attack: Attack) -> None:
     """Raise ``InvalidAttackError`` unless ``attack`` is a valid path.
 
     A valid attack starts at the start vertex, is connected, and uses no
-    edge twice (vertices may repeat).  The error names the first offending
-    edge.
+    edge twice (vertices may repeat); the empty attack is valid.  The
+    error names the first offending edge.
     """
-    if require_nonempty and not attack.path:
-        raise InvalidAttackError("attack path is empty")
     used: set[str] = set()
     position = system.start
     for index, edge_id in enumerate(attack.path):

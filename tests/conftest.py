@@ -81,9 +81,9 @@ def attack_sequence(system: System, rng: random.Random, length: int) -> list[Att
     return out
 
 
-def uniform_defender() -> FixedDefender:
+def uniform_defender(system: System) -> FixedDefender:
     """The fixed budget / |E| allocation, as the ``uniform`` spec builds it."""
-    return FixedDefender(uniform_defense, {"policy": "uniform"})
+    return FixedDefender(uniform_defense(system), {"policy": "uniform"})
 
 
 def brute_force_worst_case(system: System, objective: str, amounts: dict[str, float]) -> float:

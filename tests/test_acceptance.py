@@ -181,7 +181,7 @@ def test_criterion_05_star_separation_is_exactly_n():
     for leaves in (2, 4, 8):
         system = star(leaves=leaves)
         uniform_trace = run_game(
-            system, uniform_defender(), BestResponseAttacker("roa"), rounds=rounds
+            system, uniform_defender(system), BestResponseAttacker("roa"), rounds=rounds
         )
         report = roa_ratio(uniform_trace, alpha=1.0)
         assert report.measured == float(leaves)
@@ -191,7 +191,7 @@ def test_criterion_05_star_separation_is_exactly_n():
         rational, _ = hindsight_from_usage(system, uniform_trace.edge_usage())
         rational_trace = run_game(
             system,
-            FixedDefender(lambda view: rational, {"policy": "concentrated"}),
+            FixedDefender(rational, {"policy": "concentrated"}),
             BestResponseAttacker("roa"),
             rounds=rounds,
         )

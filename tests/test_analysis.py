@@ -94,9 +94,8 @@ def test_profit_regret_frozen_ceiling():
 
 
 def test_profit_regret_requires_reactive_trace():
-    trace = run_game(
-        fixture("appendix_b"), uniform_defender(), RandomPathAttacker(), rounds=5
-    )
+    system = fixture("appendix_b")
+    trace = run_game(system, uniform_defender(system), RandomPathAttacker(), rounds=5)
     with pytest.raises(ValueError, match="reactive-hidden"):
         profit_regret(trace)
 
@@ -116,9 +115,8 @@ def test_sub_unit_surfaces_trigger_warning():
 def test_roa_ratio_accepts_fixed_defenses():
     # uniform defense on the 4-leaf star concedes exactly 4x the
     # concentrated allocation's return
-    trace = run_game(
-        fixture("fig3_n4"), uniform_defender(), BestResponseAttacker("roa"), rounds=16
-    )
+    system = fixture("fig3_n4")
+    trace = run_game(system, uniform_defender(system), BestResponseAttacker("roa"), rounds=16)
     report = roa_ratio(trace, alpha=1.0)
     assert report.measured == 4.0
     assert report.bound_rhs == 2.0
@@ -129,7 +127,7 @@ def test_roa_ratio_accepts_fixed_defenses():
 def test_roa_ratio_undefined_on_free_rides():
     trace = run_game(
         fixture("appendix_b"),
-        FixedDefender(lambda view: zero_allocation(1.0), {"policy": "noop"}),
+        FixedDefender(zero_allocation(1.0), {"policy": "noop"}),
         BestResponseAttacker("roa"),
         rounds=3,
     )

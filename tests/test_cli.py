@@ -686,6 +686,46 @@ def test_simulate_flags_never_exit_1(system, defender, attacker, rounds, seed):
     assert code != 1, (argv, err.getvalue())
 
 
+# Each subcommand's single-value options, with values that make a valid run.
+_SINGLE_VALUE_OPTIONS = {
+    "simulate": {
+        "--system": "fig2",
+        "--defender": "reactive",
+        "--attacker": "best-roa",
+        "--rounds": "2",
+        "--seed": "0",
+        "--out": "played",
+    },
+    "minimax": {"--system": "fig2", "--objective": "roa"},
+    "mincut": {"--system": "fig2", "--target": "db"},
+    "verify-bounds": {"--config": "config.yaml", "--out": "checked"},
+    "lower-bound": {"--rounds": "2", "--seeds": "1", "--base-seed": "0"},
+    "fixtures": {"--emit": "systems"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, options in _SINGLE_VALUE_OPTIONS.items() for option in options],
+)
+def test_options_given_as_double_dash_exit_2(tmp_path, monkeypatch, capsys, command, option):
+    # Before Python 3.13, argparse parses ``--option=--`` as an empty list.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REACTIVE_DEFENSE_OUT", raising=False)
+    _write_config(tmp_path, rounds=2)
+    flags = {**_SINGLE_VALUE_OPTIONS[command], option: "--"}
+    try:
+        code = main([command, *(f"{name}={value}" for name, value in flags.items())])
+    except SystemExit as stop:  # Python 3.13 keeps "--", which int() rejects
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code != 1, err
+    if sys.version_info < (3, 13):
+        assert code == 2
+        assert f"argument {option}: expected one argument" in err
+    assert not (tmp_path / "out").exists()
+
+
 _MAGNITUDE = st.floats(1e-3, 1e3)
 
 
@@ -812,7 +852,6 @@ def test_build_defender_specs(tmp_path):
     mincut = build_defender("mincut:db", system)
     assert isinstance(mincut, FixedDefender)
     assert mincut.describe() == {"policy": "mincut", "target": "db"}
-    mincut.start(system, horizon=1)
     assert mincut.commit(1).alloc == {"right": 10.0}
 
     alloc = tmp_path / "alloc.json"
@@ -820,7 +859,6 @@ def test_build_defender_specs(tmp_path):
     fixed = build_defender(f"fixed:{alloc}", system)
     assert isinstance(fixed, FixedDefender)
     assert fixed.describe() == {"policy": "fixed"}
-    fixed.start(system, horizon=1)
     assert fixed.commit(1).get("left") == 4.0
 
     with pytest.raises(ValueError, match="unknown defender"):

@@ -150,6 +150,11 @@ def test_hidden_update_rejects_bad_input():
         reactive_hidden_step(learner, {}, surfaces)
     with pytest.raises(ValueError, match="negative attack weight"):
         reactive_hidden_step(learner, {"e1": -0.5}, surfaces)
+    with pytest.raises(ValueError, match="negative attack weight"):
+        reactive_hidden_step(learner, {"e1": -math.inf}, surfaces)
+    for weight in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite attack weight"):
+            reactive_hidden_step(learner, {"e1": weight}, surfaces)
     with pytest.raises(ValueError, match="no surface reported"):
         reactive_hidden_step(learner, {"ghost": 1.0}, surfaces)
     with pytest.raises(ValueError, match="must be positive"):
@@ -175,6 +180,8 @@ def test_rejected_round_leaves_learner_unchanged():
         ({"e2": 1.0, "e1": -1.0}, {"e1": 1.0, "e2": 1.0}),
         ({"e2": 1.0, "e1": 1.0}, {"e1": 3.0, "e2": 1.0}),
         ({"e1": 1.0, "e2": 1.0}, {"e1": 1.0}),
+        ({"e2": 1.0, "e1": math.nan}, {"e1": 1.0, "e2": 1.0}),
+        ({"e2": 1.0, "e1": math.inf}, {"e1": 1.0, "e2": 1.0}),
     ]
     for edge_weights, surfaces in bad_rounds:
         with pytest.raises(ValueError):
@@ -668,25 +675,18 @@ def test_defender_descriptors():
         "beta": "horizon",
     }
     assert KnownEdgesDefender(beta=0.7).describe()["beta"] == 0.7
-    noop = FixedDefender(lambda view: zero_allocation(1.0), {"policy": "noop"})
+    noop = FixedDefender(zero_allocation(1.0), {"policy": "noop"})
     assert noop.describe() == {"policy": "noop"}
     assert MyopicDefender().describe() == {"policy": "myopic"}
 
 
-def test_fixed_defender_computes_its_allocation_at_start():
+def test_fixed_defender_plays_the_allocation_it_is_built_with():
     system = fixture("fig2")
-    seen = []
-
-    def allocate(view):
-        seen.append(view)
-        return uniform_defense(view)
-
-    defender = FixedDefender(allocate, {"policy": "uniform"})
-    assert seen == []
-    defender.start(system, horizon=3)
-    assert seen == [system]
-    assert defender.commit(1) is defender.commit(2)
-    assert defender.commit(1).alloc == {"left": 5.0, "right": 5.0}
+    allocation = uniform_defense(system)
+    defender = FixedDefender(allocation, {"policy": "uniform"})
+    defender.start(fixture("fig4"), horizon=3)
+    assert defender.commit(1) is allocation
+    assert defender.commit(2) is allocation
     assert defender.last_beta is None
 
 

@@ -412,7 +412,7 @@ def test_population_trace_round_trip(tmp_path):
     round_ = MultiAttackRound((Attack(("e1",)), Attack(("e2",)), Attack(("e1",))))
     trace = run_game(
         system,
-        FixedDefender(lambda view: zero_allocation(1.0), {"policy": "noop"}),
+        FixedDefender(zero_allocation(1.0), {"policy": "noop"}),
         FixedSequenceAttacker([round_]),
         rounds=1,
     )
@@ -495,7 +495,6 @@ def test_load_config_defaults(tmp_path):
     assert config.seed == 0
     assert config.checks == ("profit_regret",)
     assert config.alpha is None
-    assert config.name is None
 
 
 def test_load_config_full(tmp_path):
@@ -508,7 +507,6 @@ def test_load_config_full(tmp_path):
             checks=["profit_regret", "roa_ratio"],
         )
     )
-    assert config.name == "exp-1"
     assert config.seed == 9
     assert config.alpha == 0.5
     assert config.checks == ("profit_regret", "roa_ratio")
@@ -528,6 +526,7 @@ def test_load_config_full(tmp_path):
         ({"format_version": True}, "E-SCHEMA", "'format_version' must be an integer"),
         ({"format_version": 1.0}, "E-SCHEMA", "'format_version' must be an integer"),
         ({"alpha": math.nan}, "E-CONFIG", "alpha must be positive"),
+        ({"name": 5}, "E-SCHEMA", "'name' must be a non-empty string"),
     ],
 )
 def test_load_config_errors(tmp_path, overrides, code, fragment):

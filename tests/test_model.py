@@ -141,9 +141,8 @@ def test_validate_attack_errors_name_the_first_bad_edge():
         validate_attack(system, Attack(("left", "left")))
     with pytest.raises(InvalidAttackError, match="starts at 'front'"):
         validate_attack(system, Attack(("right",)))
-    with pytest.raises(InvalidAttackError, match="empty"):
-        validate_attack(system, Attack(()), require_nonempty=True)
-    # the empty path is fine when emptiness is allowed
+    # the empty path is a valid attack that pays nothing; only the engine
+    # refuses to play it
     validate_attack(system, Attack(()))
 
 
