@@ -3,10 +3,11 @@
 Policies see the full system and the defender's committed allocation each
 round (worst-case knowledge), except the oblivious responder, which only
 knows a fixed subset of edges.  Best responses are deterministic: ties in
-the objective (exact float equality) fall to the cheaper attack, then to
-the earlier enumeration index, which is the lexicographically smallest
-edge-id sequence; zero-cost positive-payoff attacks dominate every
-finite-ratio one, and the first of them wins.
+the objective (exact float equality) fall to the cheaper attack, the
+cost being ``model.cost`` bit for bit, then to the earlier enumeration
+index, which is the lexicographically smallest edge-id sequence;
+zero-cost positive-payoff attacks dominate every finite-ratio one, and
+the first of them wins.
 """
 
 from __future__ import annotations
@@ -55,27 +56,31 @@ class BestResponse:
 def select_best_response(
     pathset: PathSet, allocation: DefenseAllocation, objective: str
 ) -> BestResponse:
-    """Pick the best enumerated attack under the deterministic tie order."""
+    """Pick the best enumerated attack under the deterministic tie order,
+    ranking only the frontier, which always holds that pick."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    front = pathset.frontier
     costs = pathset.costs(allocation)
-    pays = pathset.payoffs
+    pays = front.payoffs
     if objective == "profit":
         values = pays - costs
         i = _first_best(values, costs)
-        return BestResponse(pathset.attacks[i], float(values[i]))
-    free = (pays > 0) & (costs == 0.0)
-    i = int(free.argmax())
-    if free[i]:
-        return BestResponse(pathset.attacks[i], math.inf)
-    finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
+        return BestResponse(pathset.attacks[front.rows[i]], float(values[i]))
+    positive = costs > 0
+    if not positive.all():
+        free = (pays > 0) & (costs == 0.0)
+        i = int(free.argmax())
+        if free[i]:
+            return BestResponse(pathset.attacks[front.rows[i]], math.inf)
+    finite = np.divide(pays, costs, out=np.zeros_like(pays), where=positive)
     i = _first_best(finite, costs)
     if pays[i] > 0:
-        return BestResponse(pathset.attacks[i], float(finite[i]))
+        return BestResponse(pathset.attacks[front.rows[i]], float(finite[i]))
     # Nothing has positive payoff; fall back to a maximum-payoff attack
     # (all zero here) and flag the ratio as undefined.
     i = _first_best(pays, costs)
-    return BestResponse(pathset.attacks[i], math.nan, undefined=True)
+    return BestResponse(pathset.attacks[front.rows[i]], math.nan, undefined=True)
 
 
 def _first_best(values: np.ndarray, costs: np.ndarray) -> int:

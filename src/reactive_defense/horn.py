@@ -18,7 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .model import Attack, DefenseAllocation, System
+from .model import Attack, DefenseAllocation, System, ordered_sum
 
 
 class InvalidProofError(ValueError):
@@ -109,13 +109,13 @@ def derived_propositions(system: HornSystem, proof: Proof) -> tuple[str, ...]:
 def horn_payoff(system: HornSystem, proof: Proof) -> float:
     """Total reward over distinct derived propositions."""
     validate_proof(system, proof)
-    return sum(system.reward(p) for p in derived_propositions(system, proof))
+    return ordered_sum(system.reward(p) for p in derived_propositions(system, proof))
 
 
 def horn_cost(system: HornSystem, proof: Proof, allocation: DefenseAllocation) -> float:
     """Sum of allocation over surface across clause occurrences (repeats count)."""
     validate_proof(system, proof)
-    return sum(allocation.get(c) / system.clause(c).surface for c in proof.clauses)
+    return ordered_sum(allocation.get(c) / system.clause(c).surface for c in proof.clauses)
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,7 @@ def payoff(system: System, attack: Attack) -> float:
     are reproducible across processes.
     """
     validate_attack(system, attack)
-    return sum(system.reward(v) for v in attack_vertices(system, attack))
+    return ordered_sum(system.reward(v) for v in attack_vertices(system, attack))
 
 
 def cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
@@ -334,7 +334,17 @@ def cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float
 
 def _cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
     """``cost`` for an attack already known to be valid on ``system``."""
-    return sum(allocation.get(e) / system.surface(e) for e in attack.path)
+    return ordered_sum(allocation.get(e) / system.surface(e) for e in attack.path)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Float sum strictly left to right from 0.0.  ``sum`` compensates
+    rounding from Python 3.12 on, so path costs and payoffs, and the
+    best-response prices that must equal them, use this instead."""
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
 
 
 def profit(system: System, attack: Attack, allocation: DefenseAllocation) -> float:

@@ -1,10 +1,19 @@
-"""Enumeration of edge-simple attack paths and vectorized evaluation.
+"""Enumeration of edge-simple attack paths and their pricing.
 
 Attacks are edge-simple (vertices may repeat), so depth-first traversal
 over unused edges terminates and every prefix of a walk is itself a valid
-attack.  ``PathSet`` precomputes payoffs and a path-by-edge rate matrix
-once per system; per-allocation costs are then a single matrix-vector product,
-which keeps repeated best-response queries cheap inside long games.
+attack.  ``PathSet`` enumerates them once per system, with their payoffs
+and the edges each one prices, and marks the *frontier*: the attacks not
+dominated by an earlier attack with the same payoff whose edges are a
+subsequence of theirs in the same order.  Adding nonnegative terms into a
+left-to-right float sum cannot lower it, so under every allocation the
+dominating attack costs no more, bit for bit, and wins every tie the
+dominated one could reach.  The frontier therefore always holds the best
+response, and best responses price and rank it only.
+
+A price is exactly ``model.cost``: amount / surface summed left to right
+in path order, with no BLAS call, so best responses do not depend on the
+machine.  The path-by-edge rate matrix remains for the minimax LP.
 """
 
 from __future__ import annotations
@@ -29,13 +38,26 @@ class EnumerationLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Frontier:
+    """The attacks a best response ranks: their ``PathSet`` rows in
+    ascending order, their payoffs, and their price steps.  ``steps[k, i]``
+    is the position in ``PathSet.surfaces`` of frontier attack ``i``'s k-th
+    edge, or of the zero-price slot past the attack's end."""
+
+    rows: np.ndarray
+    payoffs: np.ndarray
+    steps: np.ndarray
+
+
+@dataclass(frozen=True)
 class PathSet:
     """Precomputed enumeration of a system's attacks.
 
-    ``rate_rows[i, j]`` is 1 / surface of edge ``j`` (system edge order)
-    when path ``i`` uses it and 0 otherwise, so it turns an allocation
-    vector into per-path costs.  ``attacks`` is in enumeration order, which sorts
-    the edge-id sequences, so an index comparison is a lexicographic one.
+    ``surfaces`` lists the edge surfaces in system edge order, then 1.0
+    for a zero-price slot.  Row ``i`` of ``rate_rows`` holds 1 / surface
+    for each edge path ``i`` uses and 0 elsewhere.  ``attacks`` is in
+    enumeration order, which sorts the edge-id sequences, so an index
+    comparison is a lexicographic one.
     """
 
     system: System
@@ -43,27 +65,46 @@ class PathSet:
     payoffs: np.ndarray
     rate_rows: np.ndarray
     edge_index: dict[str, int]
+    surfaces: np.ndarray
+    frontier: Frontier
 
     @classmethod
     def enumerate(cls, system: System, limit: int = DEFAULT_ENUMERATION_LIMIT) -> "PathSet":
         """All non-empty edge-simple paths from the start vertex, in one
         depth-first walk over sorted adjacency (prefixes before extensions).
         Raises ``EnumerationLimitError`` as soon as the count would exceed
-        ``limit``."""
+        ``limit``.
+
+        An attack leaves the frontier when its parent prefix has the same
+        payoff, or when cutting a closed sub-walk out of it, from one visit
+        of a vertex to the next, gives an earlier attack with the same
+        payoff.  Such a cut sorts earlier when the edge that left the later
+        visit sorts before the edge that left the earlier one."""
         if limit < 1:
             raise ValueError(f"enumeration limit must be positive, got {limit}")
         edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
         width = len(edge_index)
         attacks: list[Attack] = []
         payoffs: list[float] = []
-        cells = array("q")  # flat indices of rate cells, unboxed to keep the peak small
+        # Edge positions in path order, concatenated, of every attack and of
+        # the frontier's; path lengths; frontier rows.  All unboxed to keep
+        # the peak small.
+        positions, front_positions = array("q"), array("q")
+        lengths, frontier = array("q"), array("q")
+        # The row of each attack's extension by the edge at one position,
+        # keyed row * width + position; the empty walk is row -1.
+        extension: dict[int, int] = {}
         prefix: list[str] = []
+        prefix_positions: list[int] = []
         used: set[str] = set()
-        # Rewards of the walk's distinct vertices in first-visit order, and
-        # per step the vertex it reached first (None for a revisit).
-        rewards = [system.reward(system.start)]
-        seen = {system.start}
-        firsts: list[str | None] = []
+        # Per walk position: the vertex reached, the row of the attack that
+        # ends there, its payoff (summed left to right over first visits, as
+        # ``model.payoff`` sums), the rows of its earlier cuts, and the
+        # position of the vertex's previous visit on the walk.
+        walk: list[tuple[str, int, float, list[int], int | None]] = [
+            (system.start, -1, 0.0 + system.reward(system.start), [], None)
+        ]
+        latest = {system.start: 0}
         # One iterator over sorted out-edges per vertex on the current walk; an
         # explicit stack keeps deep systems clear of the recursion limit.
         stack = [iter(system.out_edges(system.start))]
@@ -75,38 +116,71 @@ class PathSet:
                 stack.pop()
                 if prefix:
                     used.discard(prefix.pop())
-                    if (v := firsts.pop()) is not None:
-                        seen.discard(v)
-                        rewards.pop()
+                    prefix_positions.pop()
+                    vertex, *_, before = walk.pop()
+                    if before is None:
+                        del latest[vertex]
+                    else:
+                        latest[vertex] = before
                 continue
             if len(attacks) >= limit:
                 raise EnumerationLimitError(limit)
+            _, parent, parent_pay, parent_cuts, before = walk[-1]
+            pay = parent_pay if e.dst in latest else parent_pay + system.reward(e.dst)
+            position = edge_index[e.id]
+            # A cut of the parent, extended by e, is a cut of this attack;
+            # e also closes a new one when it leaves the walk's last vertex
+            # ahead of the edge that left that vertex's previous visit.
+            cuts = [extension[c * width + position] for c in parent_cuts]
+            if before is not None and e.id < prefix[before]:
+                cuts.append(extension[walk[before][1] * width + position])
+            row = len(attacks)
+            extension[parent * width + position] = row
             prefix.append(e.id)
+            prefix_positions.append(position)
             used.add(e.id)
-            firsts.append(None if e.dst in seen else e.dst)
-            if firsts[-1] is not None:
-                seen.add(e.dst)
-                rewards.append(system.reward(e.dst))
-            cells.extend([len(attacks) * width + edge_index[eid] for eid in prefix])
+            positions.extend(prefix_positions)
+            lengths.append(len(prefix))
+            if not (parent >= 0 and pay == parent_pay) and all(payoffs[c] != pay for c in cuts):
+                frontier.append(row)
+                front_positions.extend(prefix_positions)
             attacks.append(Attack(tuple(prefix)))
-            # ``sum`` over the first-visit rewards, exactly as ``model.payoff``.
-            payoffs.append(sum(rewards))
+            payoffs.append(pay)
+            walk.append((e.dst, row, pay, cuts, latest.get(e.dst)))
+            latest[e.dst] = len(prefix)
             stack.append(iter(system.out_edges(e.dst)))
         if not attacks:
             raise ValueError(f"no attacks available from start vertex {system.start!r}")
+        del extension  # lowers the peak of the arrays built below
+        sizes = np.frombuffer(lengths, dtype=np.int64)
         rate_rows = np.zeros((len(attacks), width))
-        rate_rows.flat[cells] = 1.0
-        rate_rows /= np.array([e.surface for e in system.edges])
+        rate_rows[
+            np.repeat(np.arange(len(attacks)), sizes), np.frombuffer(positions, dtype=np.int64)
+        ] = 1.0
+        surfaces = np.array([e.surface for e in system.edges] + [1.0])
+        rate_rows /= surfaces[:width]
+        payoff_array = np.array(payoffs)
+        rows = np.array(frontier, dtype=np.intp)
+        # The frontier's steps, one row per edge position, in C order: each
+        # step's prices are then one contiguous take.
+        front_sizes = sizes[rows]
+        steps = np.full((int(front_sizes.max()), len(rows)), width, dtype=np.intp)
+        inside = np.arange(len(steps)) < front_sizes[:, None]
+        steps.T[inside] = np.frombuffer(front_positions, dtype=np.int64)
         return cls(
             system=system,
             attacks=tuple(attacks),
-            payoffs=np.array(payoffs),
+            payoffs=payoff_array,
             rate_rows=rate_rows,
             edge_index=edge_index,
+            surfaces=surfaces,
+            frontier=Frontier(rows=rows, payoffs=payoff_array[rows], steps=steps),
         )
 
     def allocation_vector(self, allocation: DefenseAllocation) -> np.ndarray:
-        vec = np.zeros(len(self.edge_index))
+        """Amounts in system edge order, then a zero for the step past a
+        path's end."""
+        vec = np.zeros(len(self.surfaces))
         for eid, amount in allocation.alloc.items():
             j = self.edge_index.get(eid)
             if j is not None:
@@ -114,5 +188,12 @@ class PathSet:
         return vec
 
     def costs(self, allocation: DefenseAllocation) -> np.ndarray:
-        """Per-path cost of every enumerated attack under ``allocation``."""
-        return self.rate_rows @ self.allocation_vector(allocation)
+        """Cost under ``allocation`` of each frontier attack, in
+        ``frontier.rows`` order: amount / surface summed left to right in
+        path order, bit for bit ``model.cost``."""
+        terms = (self.allocation_vector(allocation) / self.surfaces).take(self.frontier.steps)
+        # 0.0 + x, as the sum starts, turns a -0.0 amount into 0.0.
+        costs = terms[0] + 0.0
+        for column in terms[1:]:
+            costs += column
+        return costs

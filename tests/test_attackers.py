@@ -28,6 +28,7 @@ from reactive_defense.model import (
     Attack,
     DefenseAllocation,
     System,
+    cost,
     validate_system,
     zero_allocation,
 )
@@ -102,11 +103,11 @@ def test_best_response_is_deterministic():
 
 
 def _lexsort_best_response(
-    pathset: PathSet, allocation: DefenseAllocation, objective: str
+    pathset: PathSet, costs: np.ndarray, objective: str
 ) -> BestResponse:
     """Order oracle: a full lexsort over (rank of the edge-id sequence,
-    cost, objective), with the rank computed by sorting the paths."""
-    costs = pathset.costs(allocation)
+    cost, objective) of every attack, with the rank computed by sorting
+    the paths."""
     pays = pathset.payoffs
     order = sorted(range(len(pathset.attacks)), key=lambda i: pathset.attacks[i].path)
     lex_rank = np.empty(len(order), dtype=np.int64)
@@ -162,12 +163,16 @@ def _allocations(system: System, seed: int, rounds: int) -> list[DefenseAllocati
     return allocations
 
 
-def _assert_same_pick(pathset, allocation, objective) -> BestResponse:
-    want = _lexsort_best_response(pathset, allocation, objective)
-    got = select_best_response(pathset, allocation, objective)
-    assert got.attack == want.attack
-    assert got.undefined == want.undefined
-    assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value))
+def _assert_same_pick(pathset, allocation, *objectives) -> BestResponse:
+    """The frontier pick equals the oracle's over every attack priced by
+    ``model.cost``, for each objective; returns the last pick."""
+    costs = np.array([cost(pathset.system, a, allocation) for a in pathset.attacks])
+    for objective in objectives:
+        want = _lexsort_best_response(pathset, costs, objective)
+        got = select_best_response(pathset, allocation, objective)
+        assert got.attack == want.attack
+        assert got.undefined == want.undefined
+        assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value))
     return got
 
 
@@ -177,14 +182,12 @@ def test_selection_matches_lexsort_order():
     for seed, system in systems:
         pathset = PathSet.enumerate(system)
         for allocation in _allocations(system, seed, rounds=12):
-            for objective in ("roa", "profit"):
-                _assert_same_pick(pathset, allocation, objective)
+            _assert_same_pick(pathset, allocation, "roa", "profit")
     # the baseline benchmark system: 3727 attacks, exact ties all game long
     system = random_system(random.Random(26), max_extra_edges=30, max_vertices=10)
     pathset = PathSet.enumerate(system)
     for allocation in _allocations(system, 26, rounds=100):
-        for objective in ("roa", "profit"):
-            _assert_same_pick(pathset, allocation, objective)
+        _assert_same_pick(pathset, allocation, "roa", "profit")
 
 
 def test_selection_tie_branches_match_lexsort_order():
@@ -201,7 +204,7 @@ def test_selection_tie_branches_match_lexsort_order():
     # cost-decided tie: both attacks return exactly 1.0, the cheaper wins
     split = DefenseAllocation({"left": 5.0, "right": 5.0}, 10.0)
     costs = fig2.costs(split)
-    assert list(fig2.payoffs / costs) == [1.0, 1.0] and costs[0] < costs[1]
+    assert list(fig2.frontier.payoffs / costs) == [1.0, 1.0] and costs[0] < costs[1]
     pick = _assert_same_pick(fig2, split, "roa")
     assert pick.attack.path == ("left",)
 
@@ -219,9 +222,10 @@ def test_selection_tie_branches_match_lexsort_order():
         pick = _assert_same_pick(pathset, even, objective)
         assert pick.attack.path == ("b0",)
 
-    # a subnormal surface is rejected as input: its rate would be inf, and
-    # inf * 0 is NaN.  A PathSet built around validation still prices NaN,
-    # where NaN keys rank last and a column that is NaN everywhere ties
+    # a subnormal surface is rejected as input: its rate 1 / surface would
+    # be inf.  A PathSet built around validation prices as ``model.cost``
+    # does, dividing each amount by the surface, so the zero allocation
+    # still costs 0 / 1e-310 = 0.0 there
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in (
             [("a", "s", "x", 1e-310), ("b", "s", "y", 1.0), ("c", "x", "y", 1.0)],
@@ -230,7 +234,7 @@ def test_selection_tie_branches_match_lexsort_order():
             system = System.build(edges=rows, rewards={"x": 1.0, "y": 2.0})
             assert [v.code for v in validate_system(system)] == ["E-SURFACE"]
             pathset = PathSet.enumerate(system)
-            assert math.isnan(pathset.costs(zero_allocation(1.0))[0])
+            assert pathset.costs(zero_allocation(1.0))[0] == 0.0
             for objective in ("roa", "profit"):
                 _assert_same_pick(pathset, zero_allocation(1.0), objective)
 

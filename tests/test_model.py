@@ -23,6 +23,7 @@ from reactive_defense.model import (
     cost,
     cumulative_roa,
     ensure_valid_system,
+    ordered_sum,
     payoff,
     profit,
     restrict_edges,
@@ -97,6 +98,22 @@ def test_cost_is_surface_weighted():
     # 5 / (5/9) lands exactly on 9.0 in binary floating point
     assert cost(system, Attack(("left", "right")), split) == 10.0
     assert profit(system, Attack(("left", "right")), split) == 0.0
+
+
+def test_cost_and_payoff_sum_left_to_right():
+    # sum() compensates rounding from Python 3.12 on and would give
+    # 1.0000000000000002 here; 1.0 + 2**-53 rounds back to 1.0 at each step
+    tiny = 2.0**-53
+    system = System.build(
+        edges=[("a", "s", "x", 1.0), ("b", "x", "y", 1.0), ("c", "y", "z", 1.0)],
+        rewards={"x": 1.0, "y": tiny, "z": tiny},
+        budget=2.0,
+    )
+    walk = Attack(("a", "b", "c"))
+    amounts = DefenseAllocation({"a": 1.0, "b": tiny, "c": tiny}, budget=2.0)
+    assert cost(system, walk, amounts) == 1.0
+    assert payoff(system, walk) == 1.0
+    assert ordered_sum([tiny, tiny, 1.0]) == 1.0 + 2 * tiny
 
 
 def test_roa_extended_real_conventions():
