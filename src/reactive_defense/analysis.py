@@ -30,7 +30,7 @@ from .defenders import (
 )
 from .engine import GameTrace
 from .fixtures import two_parallel_edges
-from .model import DefenseAllocation, System
+from .model import DefenseAllocation, System, ordered_sum
 
 # Reported ceilings tolerate this much measurement slack.
 BOUND_SLACK = 1e-9
@@ -94,7 +94,7 @@ def _hindsight_score(trace: GameTrace) -> tuple[float, float, dict[str, float]]:
     _warn_on_small_surfaces(system)
     _, best_cost = hindsight_from_usage(system, trace.edge_usage())
     inputs = {"budget": system.budget, "num_edges": len(system.edges), "rounds": trace.rounds}
-    return best_cost, sum(trace.costs()), inputs
+    return best_cost, ordered_sum(trace.costs()), inputs
 
 
 def _regret_ceiling(
@@ -144,7 +144,7 @@ def roa_ratio(trace: GameTrace, alpha: float) -> BoundReport:
         raise ValueError(f"alpha must be positive, got {alpha}")
     best_cost, played_cost, inputs = _hindsight_score(trace)
     inputs["alpha"] = alpha
-    inputs["perimeter_surface"] = sum(e.surface for e in trace.system.start_edges())
+    inputs["perimeter_surface"] = ordered_sum(e.surface for e in trace.system.start_edges())
     if played_cost == 0:
         return _report("roa-ratio", math.nan, 1.0 + alpha, inputs, undefined=True)
     return _report("roa-ratio", best_cost / played_cost, 1.0 + alpha, inputs)
@@ -162,7 +162,7 @@ def roa_threshold_rounds(system: System, alpha: float) -> int:
     num_edges = len(system.edges)
     if num_edges <= 1:
         raise ValueError("the threshold needs a system with at least two edges")
-    perimeter = sum(e.surface for e in system.start_edges())
+    perimeter = ordered_sum(e.surface for e in system.start_edges())
     if perimeter <= 0:
         raise ValueError("no edges leave the start vertex")
     scale = (13.0 / math.sqrt(2.0)) * (1.0 + 1.0 / alpha) * perimeter
@@ -190,7 +190,7 @@ def game_value(system: System) -> GameValue:
         raise ValueError("no edges leave the start vertex")
     surfaces = {e.id: e.surface for e in perimeter}
     allocation = proportional_defense(system.budget, surfaces)
-    return GameValue(system.budget / sum(surfaces.values()), allocation)
+    return GameValue(system.budget / ordered_sum(surfaces.values()), allocation)
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,14 @@ def select_best_response(
         i = _first_best(values, costs)
         return BestResponse(pathset.attacks[front.rows[i]], float(values[i]))
     positive = costs > 0
-    if not positive.all():
+    if positive.all():
+        finite = pays / costs
+    else:
         free = (pays > 0) & (costs == 0.0)
         i = int(free.argmax())
         if free[i]:
             return BestResponse(pathset.attacks[front.rows[i]], math.inf)
-    finite = np.divide(pays, costs, out=np.zeros_like(pays), where=positive)
+        finite = np.divide(pays, costs, out=np.zeros_like(pays), where=positive)
     i = _first_best(finite, costs)
     if pays[i] > 0:
         return BestResponse(pathset.attacks[front.rows[i]], float(finite[i]))

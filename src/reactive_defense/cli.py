@@ -56,7 +56,7 @@ from .io import (
     write_bounds,
     write_trace,
 )
-from .model import DefenseAllocation, System
+from .model import DefenseAllocation, System, ordered_sum
 from .paths import EnumerationLimitError
 
 DEFENDER_SPECS = (
@@ -159,8 +159,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     costs = trace.costs()
     payoffs = trace.payoffs()
     print(f"rounds {trace.rounds}")
-    print(f"total cost {_fmt(sum(costs))}")
-    print(f"total payoff {_fmt(sum(payoffs))}")
+    print(f"total cost {_fmt(ordered_sum(costs))}")
+    print(f"total payoff {_fmt(ordered_sum(payoffs))}")
     for key in ("trace", "allocations", "summary"):
         print(f"wrote {paths[key]}")
     return 0

@@ -2,9 +2,11 @@
 
 One mutable multiplicative-weights (Hedge) learner forms the core
 (Freund and Schapire 1997): ``HedgeLearner`` keeps an edge domain in
-reveal order and splits the budget B as ``B * softmax(score * ln beta)``;
-``reactive_hidden_step`` feeds it a round, lowering each attacked edge's
-score by its weight over the edge's surface.  The reactive defender
+reveal order and splits the budget B as ``B * softmax(score * ln beta)``,
+its normaliser summed left to right in the loop that exponentiates, so
+the shares are the same bits on every Python; ``reactive_hidden_step``
+checks a whole round, then lowers each attacked edge's score by its
+weight over the edge's surface in one pass.  The reactive defender
 starts it with an empty domain that attacks grow, at an annealed rate;
 the known-edges defender starts it with every edge, at a fixed rate.
 
@@ -19,14 +21,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
 
 from .attackers import select_best_response
-from .model import DefenseAllocation, System, SystemView, zero_allocation
+from .model import DefenseAllocation, System, SystemView, ordered_sum, zero_allocation
 from .paths import PathSet
 
 
@@ -107,29 +109,37 @@ class HedgeLearner:
         for eid in column:
             if eid not in self.index:
                 raise KeyError(f"update names unknown edge {eid!r}")
-        for eid, value in column.items():
-            self.scores[self.index[eid]] += value
+        self._add(column.items())
+
+    def _add(self, column: Iterable[tuple[str, float]]) -> None:
+        # Callers pass only edges already in the domain.
+        index, scores = self.index, self.scores
+        for eid, value in column:
+            scores[index[eid]] += value
         self.round_index += 1
 
     def shares(self) -> list[float]:
         """Budget over the domain in domain order, proportional to
         ``beta ** score`` (empty on an empty domain); factoring out the
-        largest exponent avoids overflow."""
+        largest exponent avoids overflow.  The normaliser is summed left
+        to right, as ``model.ordered_sum`` does."""
         if not self.scores:
             return []
         beta = self.beta
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {beta}")
         log_beta = math.log(beta)
-        # Plain loops: on these short lists they beat comprehensions.
-        exponents = []
-        for score in self.scores:
-            exponents.append(score * log_beta)
-        top = max(exponents)
+        # log_beta <= 0 and rounding is monotone, so the smallest score
+        # gives exactly the largest exponent (up to the sign of a zero,
+        # which exp ignores).  Plain loops: on these short lists they
+        # beat comprehensions.
+        top = min(self.scores) * log_beta
         weights = []
-        for x in exponents:
-            weights.append(math.exp(x - top))
-        z = sum(weights)
+        z = 0.0
+        for score in self.scores:
+            w = math.exp(score * log_beta - top)
+            weights.append(w)
+            z += w
         shares = []
         for w in weights:
             shares.append(self.budget * w / z)
@@ -151,7 +161,7 @@ def reactive_hidden_step(
     if not edge_weights:
         raise ValueError("round contained no attacked edges")
     revealed: dict[str, float] = {}
-    column: dict[str, float] = {}
+    column: list[tuple[str, float]] = []
     for eid, weight in edge_weights.items():
         if not 0 <= weight < math.inf:
             kind = "negative" if weight < 0 else "non-finite"
@@ -166,10 +176,11 @@ def reactive_hidden_step(
             revealed[eid] = w
         elif w != (known := learner.surfaces[position]):
             raise ValueError(f"edge {eid!r} re-revealed with surface {w}, previously {known}")
-        column[eid] = -weight / w
+        column.append((eid, -weight / w))
     if revealed:
         learner._reveal(revealed)
-    learner.update(column)
+    # every edge is checked and in the domain now, so skip update's check
+    learner._add(column)
     return learner.shares()
 
 
@@ -390,7 +401,7 @@ def proportional_defense(budget: float, surfaces: Mapping[str, float]) -> Defens
     proportional to surface, so each edge charges budget / sum(surfaces)."""
     if not surfaces:
         raise ValueError("no edges to defend")
-    total = sum(surfaces.values())
+    total = ordered_sum(surfaces.values())
     return DefenseAllocation(
         {eid: budget * w / total for eid, w in surfaces.items()}, budget
     )

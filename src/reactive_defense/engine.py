@@ -8,11 +8,12 @@ start knowing only the start vertex and the budget, learn edges from each
 round's feedback, and the engine rejects any reactive allocation that
 strays outside the revealed set.
 
-Each distinct attack path is validated and its payoff computed the first
-time it is played in a game; later rounds look the payoff up in a
-per-game dict keyed by path and only price the attack under the round's
-allocation.  An invalid path is never stored, so it is rejected whenever
-it is played.
+Each distinct attack path gets one per-game entry the first time it is
+played: the path is validated, and the entry holds its payoff and its
+``(edge id, surface)`` pairs.  Later rounds read the payoff and the
+surfaces from the entry and price the attack with ``model.steps_cost``,
+the rule ``model.cost`` applies.  An invalid path is never stored, so it
+is rejected whenever it is played.
 
 Traces are reproducible bit-for-bit from (system, policies, rounds,
 seed): best responses price attacks as ``model.cost`` does, one
@@ -35,9 +36,9 @@ from .model import (
     InvalidAttackError,
     System,
     SystemView,
-    _cost,
     ensure_valid_system,
     payoff,
+    steps_cost,
 )
 
 
@@ -71,7 +72,8 @@ class RoundFeedback:
 @dataclass(frozen=True)
 class RoundRecord:
     """One played round: the committed allocation, the attacks, and
-    the logged cost/payoff (per-attacker means on population rounds)."""
+    the logged cost/payoff (per-attacker means on population rounds,
+    summed left to right as ``model.ordered_sum`` does)."""
 
     round_index: int
     allocation: DefenseAllocation
@@ -134,11 +136,13 @@ def run_game(
     )
     attacker.start(system, rng, rounds)
     records: list[RoundRecord] = []
-    payoffs: dict[tuple[str, ...], float] = {}
+    entries: dict[tuple[str, ...], tuple[float, tuple[tuple[str, float], ...]]] = {}
     for t in range(1, rounds + 1):
         allocation = defender.commit(t)
         beta = defender.last_beta
-        if defender.reactive:
+        amounts = allocation.alloc
+        if defender.reactive and not amounts.keys() <= revealed.keys():
+            # zero amounts on unrevealed edges are legal
             stray = [eid for eid in allocation.support() if eid not in revealed]
             if stray:
                 raise ReactiveContractError(
@@ -146,22 +150,21 @@ def run_game(
                 )
         move = attacker.attack(allocation, t)
         attacks = move.attacks if isinstance(move, MultiAttackRound) else (move,)
-        for a in attacks:
-            if a.path not in payoffs:
-                if not a.path:
-                    raise InvalidAttackError("attack path is empty")
-                payoffs[a.path] = payoff(system, a)
         newly: list[str] = []
         surfaces: dict[str, float] = {}
+        total_cost = total_payoff = 0.0
         for a in attacks:
+            entry = entries.get(a.path)
+            if entry is None:
+                entry = entries[a.path] = _path_entry(system, a)
+            pay, steps = entry
             for eid in a.path:
                 if eid not in revealed:
                     revealed[eid] = None
                     newly.append(eid)
-                if eid not in surfaces:
-                    surfaces[eid] = system.surface(eid)
-        round_costs = [_cost(system, a, allocation) for a in attacks]
-        round_payoffs = [payoffs[a.path] for a in attacks]
+            surfaces.update(steps)
+            total_cost += steps_cost(amounts, steps)
+            total_payoff += pay
         feedback = RoundFeedback(
             round_index=t,
             attacks=attacks,
@@ -174,8 +177,8 @@ def run_game(
                 round_index=t,
                 allocation=allocation,
                 attacks=attacks,
-                cost=sum(round_costs) / len(round_costs),
-                payoff=sum(round_payoffs) / len(round_payoffs),
+                cost=total_cost / len(attacks),
+                payoff=total_payoff / len(attacks),
                 newly_revealed=tuple(newly),
                 beta=beta,
             )
@@ -187,3 +190,12 @@ def run_game(
         attacker=dict(attacker.describe()),
         seed=seed,
     )
+
+
+def _path_entry(
+    system: System, attack: Attack
+) -> tuple[float, tuple[tuple[str, float], ...]]:
+    """Validate a played path; return its payoff and (edge id, surface) pairs."""
+    if not attack.path:
+        raise InvalidAttackError("attack path is empty")
+    return payoff(system, attack), tuple((eid, system.surface(eid)) for eid in attack.path)

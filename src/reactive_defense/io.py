@@ -54,6 +54,7 @@ from .model import (
     System,
     cumulative_roa,
     ensure_valid_system,
+    ordered_sum,
 )
 
 SYSTEM_FORMAT_VERSION = 1
@@ -362,8 +363,8 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
         "attacker": dict(trace.attacker),
         "system": system_to_doc(trace.system),
         "totals": {
-            "cost": sum(costs),
-            "payoff": sum(payoffs),
+            "cost": ordered_sum(costs),
+            "payoff": ordered_sum(payoffs),
             "cumulative_roa": cumulative_roa(payoffs, costs),
         },
     }

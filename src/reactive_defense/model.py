@@ -197,7 +197,7 @@ class DefenseAllocation:
         return self.alloc.get(unit, 0.0)
 
     def total(self) -> float:
-        return sum(self.alloc.values())
+        return ordered_sum(self.alloc.values())
 
     def support(self) -> tuple[str, ...]:
         """Units with strictly positive allocation, in insertion order."""
@@ -329,18 +329,24 @@ def payoff(system: System, attack: Attack) -> float:
 def cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
     """Sum of allocated defense divided by surface along the path."""
     validate_attack(system, attack)
-    return _cost(system, attack, allocation)
+    return steps_cost(allocation.alloc, [(e, system.surface(e)) for e in attack.path])
 
 
-def _cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
-    """``cost`` for an attack already known to be valid on ``system``."""
-    return ordered_sum(allocation.get(e) / system.surface(e) for e in attack.path)
+def steps_cost(amounts: Mapping[str, float], steps: Iterable[tuple[str, float]]) -> float:
+    """Price of a path given as ``(edge id, surface)`` steps: amount over
+    surface per step (0 for an edge without an amount), added left to
+    right from 0.0 as ``ordered_sum`` does."""
+    amount = amounts.get
+    acc = 0.0
+    for eid, surface in steps:
+        acc += amount(eid, 0.0) / surface
+    return acc
 
 
 def ordered_sum(values: Iterable[float]) -> float:
     """Float sum strictly left to right from 0.0.  ``sum`` compensates
-    rounding from Python 3.12 on, so path costs and payoffs, and the
-    best-response prices that must equal them, use this instead."""
+    rounding from Python 3.12 on, so every float sum in the package uses
+    this instead, and traces are the same bits on every Python."""
     acc = 0.0
     for x in values:
         acc += x
@@ -372,7 +378,7 @@ def cumulative_roa(payoffs: Sequence[float], costs: Sequence[float]) -> float:
     for value in costs:
         if value < 0:
             raise ValueError(f"negative cost {value}")
-    return _ratio(sum(payoffs), sum(costs))
+    return _ratio(ordered_sum(payoffs), ordered_sum(costs))
 
 
 def _ratio(p: float, c: float) -> float:

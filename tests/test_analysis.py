@@ -29,7 +29,7 @@ from reactive_defense.attackers import (
     random_parallel_attack,
 )
 from reactive_defense.defenders import FixedDefender, hindsight_from_usage
-from reactive_defense.model import Attack, System, zero_allocation
+from reactive_defense.model import Attack, System, ordered_sum, zero_allocation
 
 
 def _unit_beta(num_edges: int, round_index: int) -> float:
@@ -254,7 +254,7 @@ def test_lower_bound_loop_matches_engine():
         trace = run_game(
             system, ReactiveDefender(), ParallelAttacker(), rounds=rounds, seed=seed
         )
-        played.append(sum(trace.costs()))
+        played.append(ordered_sum(trace.costs()))
         hindsight.append(hindsight_from_usage(system, trace.edge_usage())[1])
         stats = lower_bound_experiment(rounds=rounds, num_seeds=1, base_seed=seed)
         assert stats.mean_played_cost == played[-1]

@@ -163,10 +163,27 @@ def _allocations(system: System, seed: int, rounds: int) -> list[DefenseAllocati
     return allocations
 
 
+def _prefix_prices(pathset: PathSet, allocation: DefenseAllocation) -> np.ndarray:
+    """Every attack's ``model.cost``: its parent prefix's price plus its
+    last edge's amount over surface.  Enumeration lists each prefix before
+    its extensions, and the sum runs left to right from 0.0 as
+    ``model.cost``'s does, so the prices are equal bit for bit; a sample
+    of them is checked against ``model.cost``."""
+    system = pathset.system
+    amounts, surfaces = allocation.alloc, {e.id: e.surface for e in system.edges}
+    prices: dict[tuple[str, ...], float] = {(): 0.0}
+    for attack in pathset.attacks:
+        path = attack.path
+        prices[path] = prices[path[:-1]] + amounts.get(path[-1], 0.0) / surfaces[path[-1]]
+    for attack in pathset.attacks[::37]:
+        assert prices[attack.path] == cost(system, attack, allocation)
+    return np.array([prices[a.path] for a in pathset.attacks])
+
+
 def _assert_same_pick(pathset, allocation, *objectives) -> BestResponse:
     """The frontier pick equals the oracle's over every attack priced by
     ``model.cost``, for each objective; returns the last pick."""
-    costs = np.array([cost(pathset.system, a, allocation) for a in pathset.attacks])
+    costs = _prefix_prices(pathset, allocation)
     for objective in objectives:
         want = _lexsort_best_response(pathset, costs, objective)
         got = select_best_response(pathset, allocation, objective)

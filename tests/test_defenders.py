@@ -40,6 +40,7 @@ from reactive_defense.model import (
     DefenseAllocation,
     System,
     SystemView,
+    ordered_sum,
     roa,
     zero_allocation,
 )
@@ -141,6 +142,25 @@ def test_hidden_update_weighted_masses():
     reactive_hidden_step(learner, {"a": 0.25, "b": 0.75}, surfaces)
     assert _scores(learner)["a"] == -0.25
     assert _scores(learner)["b"] == -0.375
+
+
+def test_shares_match_the_largest_exponent_formula_bit_for_bit():
+    # shares take the top exponent from the smallest score; the reference
+    # exponentiates every score first and takes the largest
+    rng = random.Random(11)
+    for n in (1, 2, 77):
+        for beta in (1.0, 0.5, horizon_beta(77, 2000), 1e-300):
+            for _ in range(40):
+                learner = HedgeLearner(3.0, {f"e{i}": 1.0 for i in range(n)}, fixed_beta=beta)
+                learner.scores[:] = [
+                    rng.choice((0.0, -0.0, rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 3)))
+                    for _ in range(n)
+                ]
+                exponents = [score * math.log(beta) for score in learner.scores]
+                weights = [math.exp(x - max(exponents)) for x in exponents]
+                z = ordered_sum(weights)
+                want = [3.0 * w / z for w in weights]
+                assert [x.hex() for x in learner.shares()] == [x.hex() for x in want]
 
 
 def test_hidden_update_rejects_bad_input():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from reactive_defense.attackers import (
 )
 from reactive_defense.defenders import Defender, FixedDefender, beta_schedule
 from reactive_defense.engine import GameTrace, ReactiveContractError, round_edge_usage
+from reactive_defense.generators import random_system
 from reactive_defense.model import (
     Attack,
     DefenseAllocation,
@@ -24,10 +27,12 @@ from reactive_defense.model import (
     System,
     ValidationError,
     cost,
+    ordered_sum,
     payoff,
     validate_attack,
     zero_allocation,
 )
+from reactive_defense.paths import PathSet
 
 
 def test_reactive_start_view_has_budget_but_no_edges_or_rewards():
@@ -87,6 +92,94 @@ def test_reactive_contract_enforced():
 
     with pytest.raises(ReactiveContractError, match="unrevealed"):
         run_game(fixture("fig2"), Rogue(), BestResponseAttacker("roa"), rounds=1)
+
+
+def test_reactive_contract_ignores_zero_amounts_on_unrevealed_edges():
+    # "right" is never attacked, so it stays unrevealed all game
+    class Padded(ReactiveDefender):
+        def __init__(self, round_three):
+            self._round_three = round_three
+
+        def commit(self, round_index):
+            held = super().commit(round_index)
+            padding = self._round_three if round_index == 3 else 0.0
+            return DefenseAllocation({**held.alloc, "right": padding}, held.budget)
+
+    replay = FixedSequenceAttacker([Attack(("left",))] * 4)
+    for zero in (0.0, -0.0):
+        trace = run_game(fixture("fig2"), Padded(zero), replay, rounds=4)
+        assert [r.allocation.get("right") for r in trace.records] == [0.0, 0.0, zero, 0.0]
+    with pytest.raises(ReactiveContractError) as raised:
+        run_game(fixture("fig2"), Padded(1e-300), replay, rounds=4)
+    assert str(raised.value) == "round 3: reactive allocation on unrevealed edges ['right']"
+
+
+class _Scripted(Defender):
+    """Commits the given allocations in order."""
+
+    def __init__(self, allocations):
+        self._allocations = allocations
+
+    def start(self, view, horizon):
+        pass
+
+    def commit(self, round_index):
+        return self._allocations[round_index - 1]
+
+    def describe(self):
+        return {"policy": "scripted"}
+
+
+def test_replayed_path_logs_model_cost_every_round():
+    system = random_system(random.Random(26), max_extra_edges=30, max_vertices=10)
+    attack = max(PathSet.enumerate(system).attacks, key=len)
+    assert len(attack) >= 6
+    rng = random.Random(5)
+    allocations = []
+    for t in range(300):
+        # -0.0 and 0.0 amounts, tiny and large ones, on and off the path
+        amounts = {
+            e.id: rng.choice((0.0, -0.0, 1e-300, rng.random(), 1e6 * rng.random()))
+            for e in system.edges
+        }
+        if t % 3 == 0:
+            amounts.update(dict.fromkeys(attack.path, -0.0))
+        scale = system.budget / max(sum(amounts.values()), 1.0)
+        allocations.append(
+            DefenseAllocation({k: v * scale for k, v in amounts.items()}, system.budget)
+        )
+    trace = run_game(
+        system, _Scripted(allocations), FixedSequenceAttacker([attack] * 300), rounds=300
+    )
+    for record in trace.records:
+        want = cost(system, attack, record.allocation)
+        assert record.cost.hex() == want.hex()
+        assert record.payoff.hex() == payoff(system, attack).hex()
+    # an all -0.0 path logs 0.0, never -0.0
+    assert trace.records[0].cost.hex() == "0x0.0p+0"
+
+
+def test_invalid_path_is_rejected_whenever_it_is_played():
+    system = fixture("fig2")
+    left, deep = Attack(("left",)), Attack(("left", "right"))
+    for bad in (Attack(("left", "ghost")), Attack(()), Attack(("right",)), Attack(("left", "left"))):
+        observed: list[int] = []
+
+        class Recorder(ReactiveDefender):
+            def observe(self, feedback):
+                observed.append(feedback.round_index)
+                super().observe(feedback)
+
+        # rejected in the round it is first played: round 3 never reaches observe
+        with pytest.raises(InvalidAttackError):
+            run_game(system, Recorder(), FixedSequenceAttacker([left, deep, bad]), rounds=3)
+        assert observed == [1, 2]
+        # and again when a later game plays it later, beside a valid attack
+        observed.clear()
+        moves = [deep, left, left, deep, MultiAttackRound((left, bad)), bad]
+        with pytest.raises(InvalidAttackError):
+            run_game(system, Recorder(), FixedSequenceAttacker(moves), rounds=6)
+        assert observed == [1, 2, 3, 4]
 
 
 def test_commit_strictly_precedes_attack():
@@ -155,8 +248,8 @@ def test_records_recompute_from_snapshots():
             for record in trace.records:
                 costs = [cost(system, a, record.allocation) for a in record.attacks]
                 payoffs = [payoff(system, a) for a in record.attacks]
-                assert record.cost == sum(costs) / len(costs)
-                assert record.payoff == sum(payoffs) / len(payoffs)
+                assert record.cost == ordered_sum(costs) / len(costs)
+                assert record.payoff == ordered_sum(payoffs) / len(payoffs)
 
 
 def test_population_round_logs_means():

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no package
+module calls the builtin ``sum``."""
 
 from __future__ import annotations
 
@@ -66,3 +67,30 @@ def test_no_unused_imports_in_src_or_tests():
             for line, name in unused_imports(path.read_text(encoding="utf-8"), str(path)):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def builtin_sum_calls(source: str, filename: str = "<source>") -> list[int]:
+    """Lines that call ``sum`` by its bare name."""
+    tree = ast.parse(source, filename)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+
+
+def test_builtin_sum_scan_on_known_cases():
+    source = "total = sum(xs)\nvalue = np.sum(xs) + xs.sum() + ordered_sum(xs)\nn = sum(\n  ys)\n"
+    assert builtin_sum_calls(source) == [1, 3]
+
+
+def test_no_builtin_sum_in_src():
+    # From Python 3.12 on, sum() of floats compensates rounding, so every
+    # float sum in the package goes through model.ordered_sum instead.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line in builtin_sum_calls(path.read_text(encoding="utf-8"), str(path)):
+            found.append(f"{path.relative_to(ROOT)}:{line}")
+    assert not found, "calls to the builtin sum:\n" + "\n".join(found)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import builtins
 import csv
 import json
 import math
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -23,7 +25,7 @@ from reactive_defense.attackers import (
     MultiAttackRound,
     RandomPathAttacker,
 )
-from reactive_defense.defenders import FixedDefender, KnownEdgesDefender
+from reactive_defense.defenders import FixedDefender, KnownEdgesDefender, MyopicDefender
 from reactive_defense.engine import GameTrace, RoundRecord
 from reactive_defense.generators import random_system
 from reactive_defense.io import (
@@ -432,6 +434,58 @@ def test_trace_writes_are_deterministic(tmp_path):
     second = write_trace(_play(), tmp_path / "b")
     for key in first:
         assert first[key].read_bytes() == second[key].read_bytes()
+
+
+def _compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 computes a float sum: Neumaier's
+    compensated summation, the compensation added once at the end."""
+    items = list(iterable)
+    if not items or not all(type(x) is float for x in items):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def _written_games(out: Path) -> dict[str, bytes]:
+    small = random_system(Random(3), max_extra_edges=12, max_vertices=6)
+    traces = {
+        "profit": run_game(small, ReactiveDefender(), BestResponseAttacker("profit"), 300, seed=3),
+        "wide": _wide_known_game(300),
+        "myopic": run_game(fixture("fig2"), MyopicDefender(), RandomPathAttacker(), 300, seed=3),
+    }
+    return {
+        f"{name}/{path.name}": path.read_bytes()
+        for name, trace in traces.items()
+        for path in write_trace(trace, out / name).values()
+    }
+
+
+def test_traces_do_not_depend_on_the_python_sum(tmp_path, monkeypatch):
+    # Python 3.12 made float sum() compensated; outputs must not change
+    plain = _written_games(tmp_path / "plain")
+    for name, module in list(sys.modules.items()):
+        if name == "reactive_defense" or name.startswith("reactive_defense."):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    compensated = _written_games(tmp_path / "compensated")
+    assert len(plain) == 9
+    for key, content in plain.items():
+        assert compensated[key] == content, key
+
+
+def test_compensated_sum_emulation():
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert _compensated_sum([0.1] * 10) == 1.0
+    assert _compensated_sum([1, 2, 3]) == 6
+    assert _compensated_sum([]) == 0
 
 
 def test_load_attack_sequence_schema_errors(tmp_path):
