@@ -17,7 +17,7 @@ import random
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class MultiAttackRound:
             raise ValueError("a population round needs at least one attack")
 
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     """Selected attack with its objective value.
 
     ``undefined`` marks the return-on-attack corner where no attack has
@@ -67,15 +66,14 @@ def select_best_response(
         values = pays - costs
         i = _first_best(values, costs)
         return BestResponse(pathset.attacks[front.rows[i]], float(values[i]))
-    positive = costs > 0
-    if positive.all():
+    if costs.min() > 0:
         finite = pays / costs
     else:
         free = (pays > 0) & (costs == 0.0)
         i = int(free.argmax())
         if free[i]:
             return BestResponse(pathset.attacks[front.rows[i]], math.inf)
-        finite = np.divide(pays, costs, out=np.zeros_like(pays), where=positive)
+        finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
     i = _first_best(finite, costs)
     if pays[i] > 0:
         return BestResponse(pathset.attacks[front.rows[i]], float(finite[i]))
@@ -100,7 +98,7 @@ def _maximizers(keys: np.ndarray) -> np.ndarray:
     best = np.fmax.reduce(keys)
     if best != best:
         return np.arange(len(keys))
-    return np.flatnonzero(keys == best)
+    return (keys == best).nonzero()[0]
 
 
 def random_parallel_attack(system: System, rng: random.Random) -> Attack:

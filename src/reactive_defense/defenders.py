@@ -263,10 +263,11 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
     if objective not in ("roa", "profit"):
         raise ValueError(f"unknown objective {objective!r}")
     pathset = PathSet.enumerate(system)
-    payoffs, rates, budget = pathset.payoffs, pathset.rate_rows, system.budget
+    payoffs, budget = pathset.payoffs, system.budget
     if not (payoffs > 0).any():
         # Nothing is worth attacking; any feasible allocation concedes 0.
         return MinimaxResult(zero_allocation(budget), 0.0, objective)
+    rates = pathset.rate_rows()
     num_edges, num_attacks = rates.shape[1], len(payoffs)
     if objective == "roa":
         payoffs, rates = payoffs[payoffs > 0], rates[payoffs > 0]

@@ -13,7 +13,8 @@ played: the path is validated, and the entry holds its payoff and its
 ``(edge id, surface)`` pairs.  Later rounds read the payoff and the
 surfaces from the entry and price the attack with ``model.steps_cost``,
 the rule ``model.cost`` applies.  An invalid path is never stored, so it
-is rejected whenever it is played.
+is rejected whenever it is played.  ``RoundRecord`` and ``RoundFeedback``
+are named tuples: immutable, and cheap to build once a round.
 
 Traces are reproducible bit-for-bit from (system, policies, rounds,
 seed): best responses price attacks as ``model.cost`` does, one
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .attackers import Attacker, MultiAttackRound
 from .defenders import Defender
@@ -58,8 +59,7 @@ def round_edge_usage(attacks: Sequence[Attack]) -> dict[str, float]:
     return {eid: count / len(attacks) for eid, count in counts.items()}
 
 
-@dataclass(frozen=True)
-class RoundFeedback:
+class RoundFeedback(NamedTuple):
     """What the defender learns after a round; ``edge_weights`` is the
     round's ``round_edge_usage``."""
 
@@ -69,8 +69,7 @@ class RoundFeedback:
     edge_weights: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One played round: the committed allocation, the attacks, and
     the logged cost/payoff (per-attacker means on population rounds,
     summed left to right as ``model.ordered_sum`` does)."""

@@ -13,7 +13,9 @@ response, and best responses price and rank it only.
 
 A price is exactly ``model.cost``: amount / surface summed left to right
 in path order, with no BLAS call, so best responses do not depend on the
-machine.  The path-by-edge rate matrix remains for the minimax LP.
+machine.  The walk keeps the edge positions of the frontier's attacks
+only; the minimax LP builds its path-by-edge rate matrix from
+``PathSet.attacks`` with ``PathSet.rate_rows`` when it runs.
 """
 
 from __future__ import annotations
@@ -54,16 +56,15 @@ class PathSet:
     """Precomputed enumeration of a system's attacks.
 
     ``surfaces`` lists the edge surfaces in system edge order, then 1.0
-    for a zero-price slot.  Row ``i`` of ``rate_rows`` holds 1 / surface
-    for each edge path ``i`` uses and 0 elsewhere.  ``attacks`` is in
-    enumeration order, which sorts the edge-id sequences, so an index
-    comparison is a lexicographic one.
+    for a zero-price slot.  ``attacks`` is in enumeration order, which
+    sorts the edge-id sequences, so an index comparison is a
+    lexicographic one.  Only the frontier's price steps are kept; the
+    LP's rate matrix is built on demand by ``rate_rows``.
     """
 
     system: System
     attacks: tuple[Attack, ...]
     payoffs: np.ndarray
-    rate_rows: np.ndarray
     edge_index: dict[str, int]
     surfaces: np.ndarray
     frontier: Frontier
@@ -86,11 +87,9 @@ class PathSet:
         width = len(edge_index)
         attacks: list[Attack] = []
         payoffs: list[float] = []
-        # Edge positions in path order, concatenated, of every attack and of
-        # the frontier's; path lengths; frontier rows.  All unboxed to keep
-        # the peak small.
-        positions, front_positions = array("q"), array("q")
-        lengths, frontier = array("q"), array("q")
+        # The frontier's rows, path lengths and edge positions in path
+        # order, concatenated.  All unboxed to keep the peak small.
+        frontier, front_lengths, front_positions = array("q"), array("q"), array("q")
         # The row of each attack's extension by the edge at one position,
         # keyed row * width + position; the empty walk is row -1.
         extension: dict[int, int] = {}
@@ -139,10 +138,9 @@ class PathSet:
             prefix.append(e.id)
             prefix_positions.append(position)
             used.add(e.id)
-            positions.extend(prefix_positions)
-            lengths.append(len(prefix))
             if not (parent >= 0 and pay == parent_pay) and all(payoffs[c] != pay for c in cuts):
                 frontier.append(row)
+                front_lengths.append(len(prefix))
                 front_positions.extend(prefix_positions)
             attacks.append(Attack(tuple(prefix)))
             payoffs.append(pay)
@@ -151,19 +149,11 @@ class PathSet:
             stack.append(iter(system.out_edges(e.dst)))
         if not attacks:
             raise ValueError(f"no attacks available from start vertex {system.start!r}")
-        del extension  # lowers the peak of the arrays built below
-        sizes = np.frombuffer(lengths, dtype=np.int64)
-        rate_rows = np.zeros((len(attacks), width))
-        rate_rows[
-            np.repeat(np.arange(len(attacks)), sizes), np.frombuffer(positions, dtype=np.int64)
-        ] = 1.0
-        surfaces = np.array([e.surface for e in system.edges] + [1.0])
-        rate_rows /= surfaces[:width]
         payoff_array = np.array(payoffs)
         rows = np.array(frontier, dtype=np.intp)
         # The frontier's steps, one row per edge position, in C order: each
         # step's prices are then one contiguous take.
-        front_sizes = sizes[rows]
+        front_sizes = np.frombuffer(front_lengths, dtype=np.int64)
         steps = np.full((int(front_sizes.max()), len(rows)), width, dtype=np.intp)
         inside = np.arange(len(steps)) < front_sizes[:, None]
         steps.T[inside] = np.frombuffer(front_positions, dtype=np.int64)
@@ -171,11 +161,22 @@ class PathSet:
             system=system,
             attacks=tuple(attacks),
             payoffs=payoff_array,
-            rate_rows=rate_rows,
             edge_index=edge_index,
-            surfaces=surfaces,
+            surfaces=np.array([e.surface for e in system.edges] + [1.0]),
             frontier=Frontier(rows=rows, payoffs=payoff_array[rows], steps=steps),
         )
+
+    def rate_rows(self) -> np.ndarray:
+        """The minimax LP's path-by-edge matrix, built afresh on each call:
+        row ``i`` holds 1 / surface for each edge attack ``i`` uses and 0
+        elsewhere."""
+        width = len(self.edge_index)
+        rates = np.zeros((len(self.attacks), width))
+        lengths = [len(a.path) for a in self.attacks]
+        positions = [self.edge_index[eid] for a in self.attacks for eid in a.path]
+        rates[np.repeat(np.arange(len(self.attacks)), lengths), positions] = 1.0
+        rates /= self.surfaces[:width]
+        return rates
 
     def allocation_vector(self, allocation: DefenseAllocation) -> np.ndarray:
         """Amounts in system edge order, then a zero for the step past a
@@ -192,8 +193,9 @@ class PathSet:
         ``frontier.rows`` order: amount / surface summed left to right in
         path order, bit for bit ``model.cost``."""
         terms = (self.allocation_vector(allocation) / self.surfaces).take(self.frontier.steps)
-        # 0.0 + x, as the sum starts, turns a -0.0 amount into 0.0.
-        costs = terms[0] + 0.0
-        for column in terms[1:]:
-            costs += column
-        return costs
+        # Over a C-ordered (steps, frontier) array with two or more columns,
+        # numpy adds the rows one at a time onto ``initial``: left to right
+        # in path order.  On one column it would sum pairwise, but then the
+        # frontier is the first attack alone, a single edge, so one step.
+        # Starting from 0.0, as the sum does, turns a -0.0 amount into 0.0.
+        return np.add.reduce(terms, axis=0, initial=0.0)

@@ -462,6 +462,7 @@ def _linprog_minimax(system: System, objective: str) -> np.ndarray | None:
     from scipy.optimize import linprog
 
     pathset = PathSet.enumerate(system)
+    rate_rows = pathset.rate_rows()
     num_edges = len(system.edges)
     budget_row = np.concatenate([np.ones(num_edges), [0.0]])
     if objective == "roa":
@@ -470,7 +471,7 @@ def _linprog_minimax(system: System, objective: str) -> np.ndarray | None:
             return np.zeros(num_edges)
         a_ub = np.vstack(
             [
-                np.hstack([-pathset.rate_rows[mask], pathset.payoffs[mask][:, None]]),
+                np.hstack([-rate_rows[mask], pathset.payoffs[mask][:, None]]),
                 budget_row,
             ]
         )
@@ -480,7 +481,7 @@ def _linprog_minimax(system: System, objective: str) -> np.ndarray | None:
     else:
         a_ub = np.vstack(
             [
-                np.hstack([-pathset.rate_rows, -np.ones((len(pathset.attacks), 1))]),
+                np.hstack([-rate_rows, -np.ones((len(pathset.attacks), 1))]),
                 budget_row,
             ]
         )

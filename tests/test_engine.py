@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -12,13 +13,20 @@ from conftest import sample_systems, uniform_defender
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import (
     Attacker,
+    BestResponse,
     FixedSequenceAttacker,
     MultiAttackRound,
     MultiAttacker,
     RandomPathAttacker,
 )
 from reactive_defense.defenders import Defender, FixedDefender, beta_schedule
-from reactive_defense.engine import GameTrace, ReactiveContractError, round_edge_usage
+from reactive_defense.engine import (
+    GameTrace,
+    ReactiveContractError,
+    RoundFeedback,
+    RoundRecord,
+    round_edge_usage,
+)
 from reactive_defense.generators import random_system
 from reactive_defense.model import (
     Attack,
@@ -397,3 +405,28 @@ def test_multi_attacker_end_to_end():
     assert all(len(r.attacks) == 2 for r in trace.records)
     # per-round usage shares still total one round each
     assert sum(trace.edge_usage().values()) == pytest.approx(6.0, rel=1e-12)
+
+
+def test_round_records_are_immutable_and_built_positionally():
+    alloc = DefenseAllocation({"left": 1.0}, 2.0)
+    attacks = (Attack(("left",)),)
+    built = {
+        RoundRecord: (
+            ("round_index", "allocation", "attacks", "cost", "payoff", "newly_revealed", "beta"),
+            (1, alloc, attacks, 0.5, 1.0, ("left",), None),
+        ),
+        RoundFeedback: (
+            ("round_index", "attacks", "surfaces", "edge_weights"),
+            (1, attacks, {"left": 2.0}, {"left": 1.0}),
+        ),
+        BestResponse: (("attack", "value", "undefined"), (attacks[0], 2.0, True)),
+    }
+    for kind, (names, values) in built.items():
+        value = kind(*values)
+        assert value == kind(**dict(zip(names, values)))
+        assert [getattr(value, name) for name in names] == list(values)
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    assert BestResponse(attacks[0], 2.0).undefined is False
+    assert BestResponse(attacks[0], math.nan, undefined=True).undefined is True

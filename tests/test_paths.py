@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_systems
-from reactive_defense import fixture
+from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.fixtures import FIXTURES
 from reactive_defense.generators import random_system
 from reactive_defense.model import Attack, DefenseAllocation, System, cost, payoff
@@ -131,8 +131,9 @@ def test_pathset_is_byte_identical_to_per_attack_construction():
         assert list(paths.attacks) == attacks
         assert paths.payoffs.dtype == payoffs.dtype
         assert paths.payoffs.tobytes() == payoffs.tobytes()
-        assert paths.rate_rows.shape == rate_rows.shape
-        assert paths.rate_rows.tobytes() == rate_rows.tobytes()
+        lp_rates = paths.rate_rows()
+        assert lp_rates.shape == rate_rows.shape
+        assert lp_rates.tobytes() == rate_rows.tobytes()
 
 
 def test_pathset_matches_scalar_functionals():
@@ -150,6 +151,59 @@ def test_pathset_matches_scalar_functionals():
         assert len(costs) == len(paths.frontier.rows)
         for row, price in zip(paths.frontier.rows, costs):
             assert price == cost(system, paths.attacks[row], alloc)
+
+
+def _assert_prices_are_model_cost(paths: PathSet, alloc: DefenseAllocation) -> None:
+    """Frontier prices equal ``model.cost`` bit for bit, the sign of a zero
+    included."""
+    found = [float(price).hex() for price in paths.costs(alloc)]
+    want = [cost(paths.system, paths.attacks[row], alloc).hex() for row in paths.frontier.rows]
+    assert found == want
+
+
+def test_prices_of_a_one_attack_frontier():
+    paths = PathSet.enumerate(System.build(edges=[("e", "s", "x", 0.75)], rewards={"x": 1.0}))
+    assert paths.frontier.steps.shape == (1, 1)
+    for amount in (0.0, -0.0, 0.1, 0.3, 2.0):
+        _assert_prices_are_model_cost(paths, DefenseAllocation({"e": amount}, 2.0))
+
+
+def test_prices_of_a_long_attack_keep_the_path_order():
+    # s -> v1 -> ... -> v9 pays only at v1 and v9: the frontier is the first
+    # edge and the whole chain, a (9, 2) step array
+    chain = [3.0, 7.0, 0.75, 5.5, 9.25, 1.5, 2.25, 6.0, 4.75]
+    system = System.build(
+        edges=[(f"c{i}", f"v{i}" if i else "s", f"v{i + 1}", w) for i, w in enumerate(chain)],
+        rewards={"v1": 1.0, "v9": 2.0},
+    )
+    paths = PathSet.enumerate(system)
+    assert paths.frontier.steps.shape == (9, 2)
+    rng = random.Random(1)
+    reordered = 0
+    for _ in range(20):
+        alloc = DefenseAllocation({e.id: rng.random() for e in system.edges}, 10.0)
+        _assert_prices_are_model_cost(paths, alloc)
+        # numpy's pairwise sum of the long attack's terms rounds otherwise
+        # on some draws, so these draws do test the order
+        terms = (paths.allocation_vector(alloc) / paths.surfaces).take(paths.frontier.steps)
+        reordered += float(terms[:, 1].sum()) != cost(system, paths.attacks[-1], alloc)
+    assert reordered > 0
+
+
+def test_negative_zero_amounts_price_as_positive_zero():
+    system = random_system(random.Random(26), max_extra_edges=30, max_vertices=10)
+    paths = PathSet.enumerate(system)
+    alloc = DefenseAllocation({e.id: -0.0 for e in system.edges}, system.budget)
+    _assert_prices_are_model_cost(paths, alloc)
+    assert {float(price).hex() for price in paths.costs(alloc)} == {"0x0.0p+0"}
+
+
+def test_prices_of_learner_allocations_on_the_baseline_system():
+    system = random_system(random.Random(26), max_extra_edges=30, max_vertices=10)
+    paths = PathSet.enumerate(system)
+    trace = run_game(system, ReactiveDefender(), BestResponseAttacker("roa"), rounds=50)
+    for record in trace.records:
+        _assert_prices_are_model_cost(paths, record.allocation)
 
 
 def _is_subsequence(short: tuple[str, ...], long: tuple[str, ...]) -> bool:
