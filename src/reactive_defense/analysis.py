@@ -140,8 +140,8 @@ def roa_ratio(trace: GameTrace, alpha: float) -> BoundReport:
     reaches ``roa_threshold_rounds``.  A zero played cost has no defined
     ratio and reports as violated with the undefined flag.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     best_cost, played_cost, inputs = _hindsight_score(trace)
     inputs["alpha"] = alpha
     inputs["perimeter_surface"] = ordered_sum(e.surface for e in trace.system.start_edges())
@@ -157,8 +157,8 @@ def roa_threshold_rounds(system: System, alpha: float) -> int:
     surface leaving the start vertex.  Needs more than one edge; with a
     single edge the ratio question is vacuous.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     num_edges = len(system.edges)
     if num_edges <= 1:
         raise ValueError("the threshold needs a system with at least two edges")

@@ -252,22 +252,29 @@ class MinimaxResult:
 def minimax_proactive_defense(system: System, objective: str = "roa") -> MinimaxResult:
     """Fixed allocation minimizing the attacker's best achievable objective.
 
-    The minimax LP over the enumerated attacks is solved
-    through its dual, whose shadow prices are the allocation.  ``"roa"``:
-    min sum(u) s.t. rate(a) . u >= payoff(a) for positive payoffs, u >= 0,
-    played as budget * u / sum(u).  ``"profit"``: min t s.t. t + rate(a) . d
-    >= payoff(a), sum(d) <= budget, t, d >= 0 (an attacker may abstain).
+    The minimax LP is solved through its dual, whose shadow prices are the
+    allocation.  ``"roa"``: min sum(u) s.t. rate(a) . u >= payoff(a) for
+    positive payoffs, u >= 0, played as budget * u / sum(u).  ``"profit"``:
+    min t s.t. t + rate(a) . d >= payoff(a), sum(d) <= budget, t, d >= 0
+    (an attacker may abstain).  Its rows are the frontier's attacks: any
+    other attack has the payoff of a frontier attack whose edges are a
+    subsequence of its own, so with u, d >= 0 its row is implied.
     The value is the attacker's best response to the allocation (floored
     at 0), and RuntimeError is raised unless the dual optimum matches it.
     """
     if objective not in ("roa", "profit"):
         raise ValueError(f"unknown objective {objective!r}")
     pathset = PathSet.enumerate(system)
-    payoffs, budget = pathset.payoffs, system.budget
+    payoffs, steps = pathset.frontier.payoffs, pathset.frontier.steps
+    budget = system.budget
     if not (payoffs > 0).any():
         # Nothing is worth attacking; any feasible allocation concedes 0.
         return MinimaxResult(zero_allocation(budget), 0.0, objective)
-    rates = pathset.rate_rows()
+    # 1 / surface on each edge a frontier attack uses; the last column, the
+    # zero-price slot past an attack's end, is dropped.
+    rates = np.zeros((len(payoffs), len(pathset.surfaces)))
+    rates[np.arange(len(payoffs)), steps] = 1.0 / pathset.surfaces[steps]
+    rates = rates[:, :-1]
     num_edges, num_attacks = rates.shape[1], len(payoffs)
     if objective == "roa":
         payoffs, rates = payoffs[payoffs > 0], rates[payoffs > 0]

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from os import PathLike
@@ -489,8 +490,8 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
     alpha = None
     if doc.get("alpha") is not None:
         alpha = _number(doc["alpha"], "alpha", source)
-        if not alpha > 0:
-            bad(f"alpha must be positive, got {alpha}")
+        if not 0 < alpha < math.inf:
+            bad(f"alpha must be positive and finite, got {alpha}")
     if "roa_ratio" in checks and alpha is None:
         bad("the roa_ratio check needs a positive alpha")
     # The name only labels the file, but a malformed one is still refused.

@@ -14,8 +14,7 @@ response, and best responses price and rank it only.
 A price is exactly ``model.cost``: amount / surface summed left to right
 in path order, with no BLAS call, so best responses do not depend on the
 machine.  The walk keeps the edge positions of the frontier's attacks
-only; the minimax LP builds its path-by-edge rate matrix from
-``PathSet.attacks`` with ``PathSet.rate_rows`` when it runs.
+only, and the minimax LP builds its path-by-edge rate matrix from them.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ class PathSet:
     ``surfaces`` lists the edge surfaces in system edge order, then 1.0
     for a zero-price slot.  ``attacks`` is in enumeration order, which
     sorts the edge-id sequences, so an index comparison is a
-    lexicographic one.  Only the frontier's price steps are kept; the
-    LP's rate matrix is built on demand by ``rate_rows``.
+    lexicographic one.  Only the frontier's price steps are kept.
     """
 
     system: System
@@ -165,18 +163,6 @@ class PathSet:
             surfaces=np.array([e.surface for e in system.edges] + [1.0]),
             frontier=Frontier(rows=rows, payoffs=payoff_array[rows], steps=steps),
         )
-
-    def rate_rows(self) -> np.ndarray:
-        """The minimax LP's path-by-edge matrix, built afresh on each call:
-        row ``i`` holds 1 / surface for each edge attack ``i`` uses and 0
-        elsewhere."""
-        width = len(self.edge_index)
-        rates = np.zeros((len(self.attacks), width))
-        lengths = [len(a.path) for a in self.attacks]
-        positions = [self.edge_index[eid] for a in self.attacks for eid in a.path]
-        rates[np.repeat(np.arange(len(self.attacks)), lengths), positions] = 1.0
-        rates /= self.surfaces[:width]
-        return rates
 
     def allocation_vector(self, allocation: DefenseAllocation) -> np.ndarray:
         """Amounts in system edge order, then a zero for the step past a

@@ -136,7 +136,7 @@ def test_roa_ratio_undefined_on_free_rides():
     assert math.isnan(report.measured)
     assert not report.satisfied
     assert report.bound_rhs == 1.5
-    for alpha in (0.0, math.nan):
+    for alpha in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha"):
             roa_ratio(trace, alpha=alpha)
 
@@ -155,7 +155,7 @@ def test_roa_threshold_rounds():
     )
     with pytest.raises(ValueError, match="at least two edges"):
         roa_threshold_rounds(System.build(edges=[("e", "s", "a", 1.0)]), alpha=1.0)
-    for alpha in (-1.0, math.nan):
+    for alpha in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha"):
             roa_threshold_rounds(chain, alpha=alpha)
     detached = System.build(

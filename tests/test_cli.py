@@ -402,25 +402,35 @@ def test_simulate_on_chain_deeper_than_recursion_limit(tmp_path, capsys):
     assert "rounds 2" in stdout
 
 
-def test_minimax_command(capsys):
-    code, stdout, _ = run_cli(
-        capsys, "minimax", "--system", "fig2", "--objective", "roa"
-    )
-    assert code == 0
-    lines = stdout.splitlines()
-    assert lines[0] == "objective roa"
-    assert lines[1] == "value 1"
-    assert "d left 5" in lines
-    assert "d right 5" in lines
+# Every fixture's full ``minimax`` output, recorded before the LP was
+# restricted to the frontier: the reduction may move a degenerate LP to
+# another optimal vertex, but no fixture's allocation or value may change.
+MINIMAX_STDOUT = {
+    ("fig2", "roa"): "objective roa\nvalue 1\nd left 5\nd right 5\n",
+    ("fig2", "profit"): "objective profit\nvalue 2.22044604925e-16\nd left 5\nd right 5\n",
+    ("fig3_n2", "roa"): "objective roa\nvalue 10\nd b0 1\n",
+    ("fig3_n2", "profit"): "objective profit\nvalue 9\nd b0 1\n",
+    ("fig3_n4", "roa"): "objective roa\nvalue 10\nd b0 1\n",
+    ("fig3_n4", "profit"): "objective profit\nvalue 9\nd b0 1\n",
+    ("fig3_n8", "roa"): "objective roa\nvalue 10\nd b0 1\n",
+    ("fig3_n8", "profit"): "objective profit\nvalue 9\nd b0 1\n",
+    ("fig4", "roa"): (
+        "objective roa\nvalue 1.22222222222\nd left 0.818181818182\nd right 8.18181818182\n"
+    ),
+    ("fig4", "profit"): "objective profit\nvalue 1\nd right 9\n",
+    ("appendix_b", "roa"): "objective roa\nvalue 2\nd e1 0.5\nd e2 0.5\n",
+    ("appendix_b", "profit"): "objective profit\nvalue 0.5\nd e1 0.5\nd e2 0.5\n",
+}
 
-    code, stdout, _ = run_cli(
-        capsys, "minimax", "--system", "fig4", "--objective", "profit"
+
+@pytest.mark.parametrize("objective", ["roa", "profit"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_minimax_command(capsys, name, objective):
+    code, stdout, err = run_cli(
+        capsys, "minimax", "--system", name, "--objective", objective
     )
-    assert code == 0
-    lines = stdout.splitlines()
-    assert lines[1] == "value 1"
-    assert "d right 9" in lines
-    assert not any(line.startswith("d left") for line in lines)
+    assert code == 0, err
+    assert stdout == MINIMAX_STDOUT[name, objective]
 
 
 def test_mincut_command(capsys):
@@ -585,11 +595,13 @@ def test_verify_bounds_violation_exits_3(tmp_path, capsys):
 
 
 def test_verify_bounds_rejects_nan_alpha(tmp_path, capsys):
-    config = _write_config(tmp_path, alpha=math.nan, checks=["roa_ratio"])
-    code, stdout, err = run_cli(capsys, "verify-bounds", "--config", str(config))
-    assert code == 2
-    assert "[E-CONFIG]" in err and "alpha must be positive" in err
-    assert "roa-ratio" not in stdout
+    # An infinite alpha would pass every roa check vacuously.
+    for alpha in (math.nan, math.inf):
+        config = _write_config(tmp_path, alpha=alpha, checks=["roa_ratio"])
+        code, stdout, err = run_cli(capsys, "verify-bounds", "--config", str(config))
+        assert code == 2
+        assert "[E-CONFIG]" in err and "alpha must be positive" in err
+        assert "roa-ratio" not in stdout
 
 
 def test_verify_bounds_config_errors(tmp_path, capsys):

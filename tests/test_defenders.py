@@ -462,8 +462,14 @@ def _linprog_minimax(system: System, objective: str) -> np.ndarray | None:
     from scipy.optimize import linprog
 
     pathset = PathSet.enumerate(system)
-    rate_rows = pathset.rate_rows()
     num_edges = len(system.edges)
+    # Every attack's row, not just the frontier's the package solves over.
+    edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
+    rate_rows = np.zeros((len(pathset.attacks), num_edges))
+    for i, attack in enumerate(pathset.attacks):
+        for eid in attack.path:
+            rate_rows[i, edge_index[eid]] = 1.0
+    rate_rows /= np.array([e.surface for e in system.edges])
     budget_row = np.concatenate([np.ones(num_edges), [0.0]])
     if objective == "roa":
         mask = pathset.payoffs > 0
@@ -571,7 +577,12 @@ def test_minimax_terminates_on_degenerate_programs():
         rewards={"a": 1.0, "b": 10.0},
         budget=1e6,
     )
-    systems = [identical_leaves, star(leaves=8), fixture("appendix_b"), zero_branches, flooded]
+    # The br-game system: 3727 attacks, 573 of them on the frontier, where
+    # the smaller LP reaches another optimal vertex.
+    br_game = random_system(random.Random(26), 30, 10)
+    systems = [
+        identical_leaves, star(leaves=8), fixture("appendix_b"), zero_branches, flooded, br_game
+    ]
     assert _assert_matches_linprog(systems) == 2 * len(systems)
     leaves = minimax_proactive_defense(identical_leaves, "roa")
     assert leaves.value == pytest.approx(3.0, rel=1e-12)

@@ -581,6 +581,7 @@ def test_load_config_full(tmp_path):
         ({"format_version": 1.0}, "E-SCHEMA", "'format_version' must be an integer"),
         ({"alpha": math.nan}, "E-CONFIG", "alpha must be positive"),
         ({"name": 5}, "E-SCHEMA", "'name' must be a non-empty string"),
+        ({"alpha": math.inf}, "E-CONFIG", "alpha must be positive"),
     ],
 )
 def test_load_config_errors(tmp_path, overrides, code, fragment):

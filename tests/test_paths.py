@@ -96,17 +96,11 @@ def test_empty_start_has_no_attacks():
         PathSet.enumerate(system)
 
 
-def _pathset_by_functionals(system: System) -> tuple[list[Attack], np.ndarray, np.ndarray]:
+def _pathset_by_functionals(system: System) -> tuple[list[Attack], np.ndarray]:
     """Oracle: the per-attack construction, with ``model.payoff`` (which
-    validates each path) and one cell write per edge."""
+    validates each path)."""
     attacks = _recursive_enumeration(system, DEFAULT_ENUMERATION_LIMIT)
-    edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
-    rate_rows = np.zeros((len(attacks), len(edge_index)))
-    for i, attack in enumerate(attacks):
-        for eid in attack.path:
-            rate_rows[i, edge_index[eid]] = 1.0
-    rate_rows /= np.array([e.surface for e in system.edges])
-    return attacks, np.array([payoff(system, a) for a in attacks]), rate_rows
+    return attacks, np.array([payoff(system, a) for a in attacks])
 
 
 def test_pathset_is_byte_identical_to_per_attack_construction():
@@ -126,14 +120,11 @@ def test_pathset_is_byte_identical_to_per_attack_construction():
         )
     )
     for system in systems:
-        attacks, payoffs, rate_rows = _pathset_by_functionals(system)
+        attacks, payoffs = _pathset_by_functionals(system)
         paths = PathSet.enumerate(system)
         assert list(paths.attacks) == attacks
         assert paths.payoffs.dtype == payoffs.dtype
         assert paths.payoffs.tobytes() == payoffs.tobytes()
-        lp_rates = paths.rate_rows()
-        assert lp_rates.shape == rate_rows.shape
-        assert lp_rates.tobytes() == rate_rows.tobytes()
 
 
 def test_pathset_matches_scalar_functionals():
