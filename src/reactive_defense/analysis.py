@@ -166,7 +166,9 @@ def roa_threshold_rounds(system: System, alpha: float) -> int:
     if perimeter <= 0:
         raise ValueError("no edges leave the start vertex")
     scale = (13.0 / math.sqrt(2.0)) * (1.0 + 1.0 / alpha) * perimeter
-    return math.ceil(scale * scale * math.log(num_edges))
+    if (rounds := scale * scale * math.log(num_edges)) == math.inf:
+        raise ValueError(f"threshold overflows a float for alpha {alpha}, perimeter {perimeter}")
+    return math.ceil(rounds)
 
 
 @dataclass(frozen=True)

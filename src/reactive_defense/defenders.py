@@ -11,9 +11,10 @@ starts it with an empty domain that attacks grow, at an annealed rate;
 the known-edges defender starts it with every edge, at a fixed rate.
 
 Proactive alternatives live alongside it: minimum-cut perimeter defense,
-minimax allocations for the return-on-attack and profit objectives (the
-LP's dual solved by a dense numpy simplex; no solver library), the
-hindsight-optimal fixed allocation, and the uniform and myopic baselines.
+minimax allocations for the return-on-attack and profit objectives (a
+numpy simplex on the LP's dual, read off its final tableau with no BLAS
+or LAPACK call, so the same bits on every machine), the hindsight-optimal
+fixed allocation, and the uniform and myopic baselines.
 """
 
 from __future__ import annotations
@@ -309,7 +310,9 @@ def _max_shadow_prices(
     one-phase tableau simplex from the slack basis on rows and columns
     scaled to entries near 1, pivoting on the most negative reduced cost
     (Dantzig) until the objective stalls, then on the lowest index, which
-    cannot cycle (Bland 1977).  The prices are solved on the final basis.
+    cannot cycle (Bland 1977).  Prices and optimum are read off the final
+    tableau (Chvatal 1983, ch. 5) in power-of-two units, exactly, with no
+    BLAS or LAPACK call: the same bits on every machine.
     """
     rows, cols = matrix.shape
     magnitude = np.abs(matrix)
@@ -321,9 +324,10 @@ def _max_shadow_prices(
     costs = gains * col_scale
     # Empty rows never bind, so they must not set the scale of the levels.
     levels = rhs * row_scale * (magnitude.max(axis=1) > 0)
+    cost_unit, level_unit = np.exp2(np.frexp([costs.max(), levels.max()])[1])
     tableau = np.zeros((rows + 1, cols + rows + 1))
-    tableau[:-1] = np.hstack([scaled, np.eye(rows), levels[:, None] / levels.max()])
-    tableau[-1, :cols] = -costs / costs.max()
+    tableau[:-1] = np.hstack([scaled, np.eye(rows), levels[:, None] / level_unit])
+    tableau[-1, :cols] = -costs / cost_unit
     basis = np.arange(cols, cols + rows)
     tol = 1e-12
     stalled = 0
@@ -348,15 +352,8 @@ def _max_shadow_prices(
         stalled = 0 if tableau[-1, -1] > before + tol else stalled + 1
     else:
         raise RuntimeError("minimax solve failed: iteration limit reached")
-    # Rows whose slack is basic price at exactly zero; the basic columns
-    # over the other rows form a square system for the rest.
-    tight = ~np.isin(np.arange(cols, cols + rows), basis)
-    structural = basis[basis < cols]
-    square = scaled[np.ix_(tight, structural)]
-    prices = np.zeros(rows)
-    prices[tight] = np.linalg.solve(square.T, costs[structural])
-    x = np.linalg.solve(square, levels[tight]).clip(0.0) * col_scale[structural]
-    return prices.clip(0.0) * row_scale, float(gains[structural] @ x)
+    prices = tableau[-1, cols:-1].clip(0.0) * cost_unit * row_scale
+    return prices, float(tableau[-1, -1] * cost_unit * level_unit)
 
 
 def _spread_mean(magnitude: np.ndarray, axis: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import random
 from reactive_defense.attackers import BestResponse, select_best_response
 from reactive_defense.defenders import FixedDefender, uniform_defense
 from reactive_defense.generators import random_system
-from reactive_defense.model import Attack, DefenseAllocation, System
+from reactive_defense.model import Attack, DefenseAllocation, System, ordered_sum
 from reactive_defense.paths import EnumerationLimitError, PathSet
 
 
@@ -92,7 +92,7 @@ def brute_force_worst_case(system: System, objective: str, amounts: dict[str, fl
     worst = 0.0
     pathset = PathSet.enumerate(system)
     for attack, pay in zip(pathset.attacks, pathset.payoffs):
-        c = sum(amounts.get(eid, 0.0) / system.surface(eid) for eid in attack.path)
+        c = ordered_sum(amounts.get(eid, 0.0) / system.surface(eid) for eid in attack.path)
         if objective == "profit":
             worst = max(worst, float(pay) - c)
         elif pay > 0:

@@ -163,6 +163,11 @@ def test_roa_threshold_rounds():
     )
     with pytest.raises(ValueError, match="leave the start"):
         roa_threshold_rounds(detached, alpha=1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        roa_threshold_rounds(chain, alpha=1e-300)
+    vast = System.build(edges=[("e1", "s", "a", 1e200), ("e2", "a", "b", 1.0)], rewards={"b": 1.0})
+    with pytest.raises(ValueError, match="overflows"):
+        roa_threshold_rounds(vast, alpha=1.0)
 
 
 def test_game_value_closed_form():

@@ -535,8 +535,7 @@ def _assert_matches_linprog(systems: list[System]) -> int:
             # roa values are ratios, so their own size is the scale
             size = oracle if objective == "roa" else scale
             assert worst <= oracle + 1e-9 * size, (system, objective, worst, oracle)
-            # the package prices attacks by matrix product, hence rounding
-            assert worst == pytest.approx(result.value, rel=1e-12, abs=1e-12 * size)
+            assert worst == result.value, (system, objective, worst, result.value)
             solved += 1
     return solved
 

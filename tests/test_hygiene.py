@@ -1,5 +1,5 @@
 """Source hygiene: no module imports a name it never uses, and no package
-module calls the builtin ``sum``."""
+module calls the builtin ``sum`` or reaches BLAS or LAPACK."""
 
 from __future__ import annotations
 
@@ -94,3 +94,46 @@ def test_no_builtin_sum_in_src():
         for line in builtin_sum_calls(path.read_text(encoding="utf-8"), str(path)):
             found.append(f"{path.relative_to(ROOT)}:{line}")
     assert not found, "calls to the builtin sum:\n" + "\n".join(found)
+
+
+BLAS_NAMES = {"linalg", "dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def blas_uses(source: str, filename: str = "<source>") -> list[tuple[int, str]]:
+    """(line, name) for every ``@`` and every attribute or numpy import
+    named in ``BLAS_NAMES``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = {*node.module.split("."), *(alias.name for alias in node.names)}
+            found.extend((node.lineno, name) for name in sorted(names & BLAS_NAMES))
+    return sorted(found)
+
+
+def test_blas_scan_on_known_cases():
+    source = (
+        "y = a @ b\n"
+        "z = np.linalg.solve(a, b) + a.dot(b)\n"
+        "w = np.outer(a, b) * c + np.add.reduce(a) + inner\n"
+        "x @= m\n"
+        "from numpy.linalg import solve\n"
+        "from numpy import einsum, exp2\n"
+    )
+    assert blas_uses(source) == [
+        (1, "@"), (2, "dot"), (2, "linalg"), (4, "@"), (5, "linalg"), (6, "einsum")
+    ]
+
+
+def test_no_blas_or_lapack_in_src():
+    # Matrix products and solves go through BLAS and LAPACK, whose kernels
+    # round differently from machine to machine; the package's outputs
+    # must have the same bits everywhere.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, name in blas_uses(path.read_text(encoding="utf-8"), str(path)):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, "BLAS or LAPACK uses:\n" + "\n".join(found)
