@@ -2,29 +2,24 @@
 
 Policies see the full system and the defender's committed allocation each
 round (worst-case knowledge), except the oblivious responder, which only
-knows a fixed subset of edges.  Best responses are deterministic: ties in
-the objective (exact float equality) fall to the cheaper attack, the
-cost being ``model.cost`` bit for bit, then to the earlier enumeration
-index, which is the lexicographically smallest edge-id sequence;
-zero-cost positive-payoff attacks dominate every finite-ratio one, and
-the first of them wins.
+knows a fixed subset of edges.  Best responders rank the attacks of a
+``paths.PathSet`` with ``paths.select_best_response``.  The policies that
+enumerate attacks import ``paths``, and with it numpy, in ``start``: a
+game without them never loads numpy.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+from .model import OBJECTIVES, Attack, DefenseAllocation, Edge, System, restrict_edges
 
-from .model import Attack, DefenseAllocation, Edge, System, restrict_edges
-from .paths import PathSet
-
-OBJECTIVES = ("roa", "profit")
+if TYPE_CHECKING:
+    from .paths import PathSet
 
 
 @dataclass(frozen=True)
@@ -37,68 +32,6 @@ class MultiAttackRound:
         object.__setattr__(self, "attacks", tuple(self.attacks))
         if not self.attacks:
             raise ValueError("a population round needs at least one attack")
-
-
-class BestResponse(NamedTuple):
-    """Selected attack with its objective value.
-
-    ``undefined`` marks the return-on-attack corner where no attack has
-    positive payoff: the maximum-payoff attack is returned and the ratio
-    carries the undefined marker.
-    """
-
-    attack: Attack
-    value: float
-    undefined: bool = False
-
-
-def select_best_response(
-    pathset: PathSet, allocation: DefenseAllocation, objective: str
-) -> BestResponse:
-    """Pick the best enumerated attack under the deterministic tie order,
-    ranking only the frontier, which always holds that pick."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    front = pathset.frontier
-    costs = pathset.costs(allocation)
-    pays = front.payoffs
-    if objective == "profit":
-        values = pays - costs
-        i = _first_best(values, costs)
-        return BestResponse(pathset.attacks[front.rows[i]], float(values[i]))
-    if costs.min() > 0:
-        finite = pays / costs
-    else:
-        free = (pays > 0) & (costs == 0.0)
-        i = int(free.argmax())
-        if free[i]:
-            return BestResponse(pathset.attacks[front.rows[i]], math.inf)
-        finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
-    i = _first_best(finite, costs)
-    if pays[i] > 0:
-        return BestResponse(pathset.attacks[front.rows[i]], float(finite[i]))
-    # Nothing has positive payoff; fall back to a maximum-payoff attack
-    # (all zero here) and flag the ratio as undefined.
-    i = _first_best(pays, costs)
-    return BestResponse(pathset.attacks[front.rows[i]], math.nan, undefined=True)
-
-
-def _first_best(values: np.ndarray, costs: np.ndarray) -> int:
-    """Index of the largest value, ties to the lowest cost, then to the
-    lowest index (enumeration order is lexicographic edge-id order)."""
-    top = _maximizers(values)
-    if len(top) > 1:
-        top = top[_maximizers(-costs[top])]
-    return int(top[0])
-
-
-def _maximizers(keys: np.ndarray) -> np.ndarray:
-    """Indices of the largest key under exact float equality.  NaN ranks
-    below every number, as in an ascending sort of the negated keys."""
-    best = np.fmax.reduce(keys)
-    if best != best:
-        return np.arange(len(keys))
-    return (keys == best).nonzero()[0]
 
 
 def random_parallel_attack(system: System, rng: random.Random) -> Attack:
@@ -153,10 +86,17 @@ class BestResponseAttacker(Attacker):
         self._paths: PathSet | None = None
 
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
-        self._paths = PathSet.enumerate(system)
+        from .paths import PathSet, select_best_response
+
+        self._paths = PathSet.enumerate(self._known(system))
+        self._select = select_best_response
+
+    def _known(self, system: System) -> System:
+        """The part of ``system`` whose attacks the policy ranks."""
+        return system
 
     def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack:
-        return select_best_response(self._paths, allocation, self._objective).attack
+        return self._select(self._paths, allocation, self._objective).attack
 
     def describe(self) -> dict[str, Any]:
         return {"policy": f"{self._objective}-best-response"}
@@ -169,6 +109,8 @@ class RandomPathAttacker(Attacker):
     _rng: random.Random | None = None
 
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
+        from .paths import PathSet
+
         self._paths = PathSet.enumerate(system)
         self._rng = rng
 
@@ -211,8 +153,8 @@ class ObliviousAttacker(BestResponseAttacker):
         super().__init__(objective)
         self._visible = tuple(visible)
 
-    def start(self, system: System, rng: random.Random, horizon: int) -> None:
-        self._paths = PathSet.enumerate(restrict_edges(system, self._visible))
+    def _known(self, system: System) -> System:
+        return restrict_edges(system, self._visible)
 
     def describe(self) -> dict[str, Any]:
         return {

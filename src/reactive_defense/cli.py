@@ -56,8 +56,7 @@ from .io import (
     write_bounds,
     write_trace,
 )
-from .model import DefenseAllocation, System, ordered_sum
-from .paths import EnumerationLimitError
+from .model import DefenseAllocation, EnumerationLimitError, System, ordered_sum
 
 DEFENDER_SPECS = (
     "reactive, known[:beta], uniform, myopic, minimax-roa, minimax-profit, "

@@ -14,7 +14,8 @@ Proactive alternatives live alongside it: minimum-cut perimeter defense,
 minimax allocations for the return-on-attack and profit objectives (a
 numpy simplex on the LP's dual, read off its final tableau with no BLAS
 or LAPACK call, so the same bits on every machine), the hindsight-optimal
-fixed allocation, and the uniform and myopic baselines.
+fixed allocation, and the uniform and myopic baselines.  Only the
+minimax solve imports numpy, when it runs.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar
 
-import numpy as np
-
-from .attackers import select_best_response
 from .model import DefenseAllocation, System, SystemView, ordered_sum, zero_allocation
-from .paths import PathSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def beta_schedule(num_units: int, round_index: int) -> float:
@@ -265,6 +265,10 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
     """
     if objective not in ("roa", "profit"):
         raise ValueError(f"unknown objective {objective!r}")
+    import numpy as np
+
+    from .paths import PathSet, select_best_response
+
     pathset = PathSet.enumerate(system)
     payoffs, steps = pathset.frontier.payoffs, pathset.frontier.steps
     budget = system.budget
@@ -314,6 +318,8 @@ def _max_shadow_prices(
     tableau (Chvatal 1983, ch. 5) in power-of-two units, exactly, with no
     BLAS or LAPACK call: the same bits on every machine.
     """
+    import numpy as np
+
     rows, cols = matrix.shape
     magnitude = np.abs(matrix)
     row_scale, col_scale = np.ones(rows), np.ones(cols)
@@ -359,6 +365,8 @@ def _max_shadow_prices(
 def _spread_mean(magnitude: np.ndarray, axis: int) -> np.ndarray:
     """Geometric mean of the largest and the smallest nonzero magnitude
     along ``axis``; 1 where every magnitude is zero."""
+    import numpy as np
+
     top = magnitude.max(axis=axis)
     low = np.where(magnitude > 0, magnitude, np.inf).min(axis=axis)
     return np.where(top > 0, np.sqrt(top * np.minimum(low, top)), 1.0)

@@ -30,6 +30,8 @@ Only ``trace.csv`` is read back, as the move list of a replay.
 
 Every output file is written here, its directory created first; one
 that cannot be made raises :class:`FileFormatError` with code E-IO.
+PyYAML is imported by the two functions that parse and dump YAML, so a
+command that reads and writes no YAML never loads it.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from dataclasses import dataclass, replace
 from os import PathLike
 from pathlib import Path
 from typing import NoReturn
-
-import yaml
 
 from .analysis import BoundReport
 from .attackers import MultiAttackRound
@@ -138,6 +138,8 @@ def _write_text(path: str | PathLike, text: str) -> None:
 
 
 def _parse_yaml(text: str, source: str):
+    import yaml
+
     try:
         return yaml.safe_load(text)
     # ValueError: integers past Python's digit limit, impossible dates.
@@ -272,6 +274,8 @@ def save_system(
     header: str | None = None,
 ) -> None:
     """Write a YAML system file; ``header`` lines become leading comments."""
+    import yaml
+
     doc = system_to_doc(system, name=name)
     text = yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
     if header:

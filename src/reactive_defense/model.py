@@ -32,6 +32,9 @@ FEASIBILITY_RTOL = 1e-9
 # Marker returned by roa/cumulative_roa for the 0/0 case.
 ROA_UNDEFINED = math.nan
 
+# The functionals a best-responding attacker maximizes.
+OBJECTIVES = ("roa", "profit")
+
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 
@@ -57,6 +60,14 @@ class ValidationError(ValueError):
 
 class InvalidAttackError(ValueError):
     """Raised for paths that are not valid attacks on the given system."""
+
+
+class EnumerationLimitError(RuntimeError):
+    """Raised when a system admits more attacks than the caller allowed."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(f"more than {limit} edge-simple attacks")
 
 
 @dataclass(frozen=True)

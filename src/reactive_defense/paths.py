@@ -15,27 +15,29 @@ A price is exactly ``model.cost``: amount / surface summed left to right
 in path order, with no BLAS call, so best responses do not depend on the
 machine.  The walk keeps the edge positions of the frontier's attacks
 only, and the minimax LP builds its path-by-edge rate matrix from them.
+
+Best responses are deterministic: ties in the objective (exact float
+equality) fall to the cheaper attack, then to the earlier enumeration
+index, which is the lexicographically smallest edge-id sequence;
+zero-cost positive-payoff attacks dominate every finite-ratio one, and
+the first of them wins.  This is the package's one module-level numpy
+import: the learning defender, replays and the lower-bound experiment
+never load it.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import Attack, DefenseAllocation, System
+from .model import OBJECTIVES, Attack, DefenseAllocation, EnumerationLimitError, System
 
 # The attack cap of every command; a larger system is refused, not truncated.
 DEFAULT_ENUMERATION_LIMIT = 10_000
-
-
-class EnumerationLimitError(RuntimeError):
-    """Raised when a system admits more attacks than the caller allowed."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"more than {limit} edge-simple attacks")
 
 
 @dataclass(frozen=True)
@@ -185,3 +187,65 @@ class PathSet:
         # frontier is the first attack alone, a single edge, so one step.
         # Starting from 0.0, as the sum does, turns a -0.0 amount into 0.0.
         return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+class BestResponse(NamedTuple):
+    """Selected attack with its objective value.
+
+    ``undefined`` marks the return-on-attack corner where no attack has
+    positive payoff: the maximum-payoff attack is returned and the ratio
+    carries the undefined marker.
+    """
+
+    attack: Attack
+    value: float
+    undefined: bool = False
+
+
+def select_best_response(
+    pathset: PathSet, allocation: DefenseAllocation, objective: str
+) -> BestResponse:
+    """Pick the best enumerated attack under the deterministic tie order,
+    ranking only the frontier, which always holds that pick."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    front = pathset.frontier
+    costs = pathset.costs(allocation)
+    pays = front.payoffs
+    if objective == "profit":
+        values = pays - costs
+        i = _first_best(values, costs)
+        return BestResponse(pathset.attacks[front.rows[i]], float(values[i]))
+    if costs.min() > 0:
+        finite = pays / costs
+    else:
+        free = (pays > 0) & (costs == 0.0)
+        i = int(free.argmax())
+        if free[i]:
+            return BestResponse(pathset.attacks[front.rows[i]], math.inf)
+        finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
+    i = _first_best(finite, costs)
+    if pays[i] > 0:
+        return BestResponse(pathset.attacks[front.rows[i]], float(finite[i]))
+    # Nothing has positive payoff; fall back to a maximum-payoff attack
+    # (all zero here) and flag the ratio as undefined.
+    i = _first_best(pays, costs)
+    return BestResponse(pathset.attacks[front.rows[i]], math.nan, undefined=True)
+
+
+def _first_best(values: np.ndarray, costs: np.ndarray) -> int:
+    """Index of the largest value, ties to the lowest cost, then to the
+    lowest index (enumeration order is lexicographic edge-id order)."""
+    top = _maximizers(values)
+    if len(top) > 1:
+        top = top[_maximizers(-costs[top])]
+    return int(top[0])
+
+
+def _maximizers(keys: np.ndarray) -> np.ndarray:
+    """Indices of the largest key under exact float equality.  NaN ranks
+    below every number, as in an ascending sort of the negated keys."""
+    best = np.fmax.reduce(keys)
+    if best != best:
+        return np.arange(len(keys))
+    return (keys == best).nonzero()[0]

@@ -5,11 +5,15 @@ from __future__ import annotations
 import math
 import random
 
-from reactive_defense.attackers import BestResponse, select_best_response
 from reactive_defense.defenders import FixedDefender, uniform_defense
 from reactive_defense.generators import random_system
 from reactive_defense.model import Attack, DefenseAllocation, System, ordered_sum
-from reactive_defense.paths import EnumerationLimitError, PathSet
+from reactive_defense.paths import (
+    BestResponse,
+    EnumerationLimitError,
+    PathSet,
+    select_best_response,
+)
 
 
 def sample_systems(

@@ -12,14 +12,12 @@ import pytest
 from conftest import best_response, sample_systems
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import (
-    BestResponse,
     FixedSequenceAttacker,
     MultiAttackRound,
     MultiAttacker,
     ObliviousAttacker,
     RandomPathAttacker,
     random_parallel_attack,
-    select_best_response,
 )
 from reactive_defense.defenders import uniform_defense
 from reactive_defense.fixtures import star
@@ -32,7 +30,7 @@ from reactive_defense.model import (
     validate_system,
     zero_allocation,
 )
-from reactive_defense.paths import PathSet
+from reactive_defense.paths import BestResponse, PathSet, select_best_response
 
 
 def test_best_response_roa_free_edges_dominate():

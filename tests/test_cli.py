@@ -444,30 +444,64 @@ def test_mincut_command(capsys):
     assert "unknown vertex" in err
 
 
-def test_cli_import_does_not_load_networkx():
-    probe = "import sys, reactive_defense.cli; print('networkx' in sys.modules)"
+def _fresh_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run by a new interpreter on this package."""
     src = str(Path(reactive_defense.__file__).parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout
 
 
-def test_cli_import_does_not_load_scipy():
-    probe = "import sys, reactive_defense.cli; print('scipy' in sys.modules)"
-    src = str(Path(reactive_defense.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.stdout.strip() == "False"
+@pytest.mark.parametrize("heavy", ["networkx", "scipy", "numpy", "yaml"])
+@pytest.mark.parametrize("package", ["reactive_defense", "reactive_defense.cli"])
+def test_import_does_not_load(package, heavy):
+    # numpy loads with the first enumeration or minimax solve, PyYAML with
+    # the first YAML file; networkx and scipy are not runtime dependencies.
+    probe = f"import sys, {package}; print({heavy!r} in sys.modules)"
+    assert _fresh_python(probe).strip() == "False"
+
+
+_BLOCKED_RUN = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = sys.modules["yaml"] = None
+from reactive_defense.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_commands_without_numpy_or_yaml_match_loaded_runs(tmp_path, capsys):
+    # Any attempt to import a blocked module raises ImportError, which the
+    # CLI reports as an unexpected error with exit 1.
+    played = tmp_path / "played"
+    assert run_cli(capsys, "simulate", "--system", "fig2", "-T", "40", "--out", str(played))[0] == 0
+    replay = tmp_path / "replay"
+    commands = [
+        ["lower-bound", "-T", "200", "--seeds", "3"],
+        ["fixtures"],
+        ["mincut", "--system", "fig2", "--target", "db"],
+        [
+            "simulate", "--system", "fig2", "--defender", "reactive",
+            "--attacker", f"replay:{played / 'trace.csv'}", "-T", "40", "--out", str(replay),
+        ],
+    ]
+    names = ("trace.csv", "allocations.json", "summary.json")
+    loaded = [list(run_cli(capsys, *argv)[:2]) for argv in commands]
+    loaded_files = [(replay / name).read_bytes() for name in names]
+    blocked = json.loads(_fresh_python(_BLOCKED_RUN, json.dumps(commands)))
+    assert [code for code, _ in blocked] == [0, 0, 0, 0]
+    assert blocked == loaded
+    assert [(replay / name).read_bytes() for name in names] == loaded_files
 
 
 def test_simulate_rejects_surface_with_infinite_reciprocal(tmp_path, capsys):

@@ -13,7 +13,6 @@ from conftest import sample_systems, uniform_defender
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import (
     Attacker,
-    BestResponse,
     FixedSequenceAttacker,
     MultiAttackRound,
     MultiAttacker,
@@ -40,7 +39,7 @@ from reactive_defense.model import (
     validate_attack,
     zero_allocation,
 )
-from reactive_defense.paths import PathSet
+from reactive_defense.paths import BestResponse, PathSet
 
 
 def test_reactive_start_view_has_budget_but_no_edges_or_rewards():

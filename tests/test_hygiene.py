@@ -1,9 +1,12 @@
-"""Source hygiene: no module imports a name it never uses, and no package
-module calls the builtin ``sum`` or reaches BLAS or LAPACK."""
+"""Source hygiene: no module imports a name it never uses; no package
+module calls the builtin ``sum`` or reaches BLAS or LAPACK; numpy and
+PyYAML load only where arrays or YAML are used, and no per-round function
+runs an import statement."""
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,3 +140,132 @@ def test_no_blas_or_lapack_in_src():
         for line, name in blas_uses(path.read_text(encoding="utf-8"), str(path)):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "BLAS or LAPACK uses:\n" + "\n".join(found)
+
+
+# Imported at package import time only by paths.py (numpy), and never (PyYAML).
+HEAVY_MODULES = ("numpy", "yaml")
+
+# Functions that run every round of a game or of the lower-bound loop.
+PER_ROUND_FUNCTIONS = {
+    "paths.py": (
+        "PathSet.allocation_vector",
+        "PathSet.costs",
+        "select_best_response",
+        "_first_best",
+        "_maximizers",
+    ),
+    "attackers.py": ("BestResponseAttacker.attack", "RandomPathAttacker.attack"),
+    "defenders.py": ("HedgeLearner.shares", "HedgeLearner._add", "reactive_hidden_step"),
+    "engine.py": ("run_game",),
+    "model.py": ("steps_cost",),
+}
+
+
+def heavy_imports(source: str, filename: str = "<source>") -> list[tuple[int, str]]:
+    """(line, module) for every import of a ``HEAVY_MODULES`` module that
+    runs when the module itself is imported: outside every function body
+    and every ``if TYPE_CHECKING:`` branch."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            names = []
+        found.extend(
+            (node.lineno, name.split(".")[0])
+            for name in names
+            if name.split(".")[0] in HEAVY_MODULES
+        )
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            children = node.orelse
+        else:
+            children = list(ast.iter_child_nodes(node))
+        for child in children:
+            visit(child)
+
+    visit(ast.parse(source, filename))
+    return sorted(found)
+
+
+def imports_in(
+    source: str, qualnames: Iterable[str], filename: str = "<source>"
+) -> list[tuple[int, str]]:
+    """(line, name) for every import statement inside the module-level
+    functions and methods named ``function`` or ``Class.method``; a name
+    with no definition is reported at line 0."""
+    defs = {}
+    for node in ast.parse(source, filename).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[f"{node.name}.{item.name}"] = item
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[node.name] = node
+    found = []
+    for name in qualnames:
+        if name not in defs:
+            found.append((0, name))
+            continue
+        found.extend(
+            (inner.lineno, name)
+            for inner in ast.walk(defs[name])
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        )
+    return sorted(found)
+
+
+def test_import_scans_on_known_cases():
+    source = (
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "import os, yaml.constructor\n"
+        "from numpy.linalg import solve\n"
+        "from .paths import PathSet\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "else:\n"
+        "    import yaml\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    return numpy\n"
+        "class C:\n"
+        "    import yaml\n"
+        "    def step(self):\n"
+        "        from . import paths\n"
+        "        return [np.sum for _ in paths]\n"
+        "    def start(self):\n"
+        "        import numpy\n"
+    )
+    assert heavy_imports(source) == [
+        (1, "numpy"), (3, "yaml"), (4, "numpy"), (9, "yaml"), (11, "numpy"), (18, "yaml")
+    ]
+    assert imports_in(source, ["C.step", "f", "C.gone", "start"]) == [
+        (0, "C.gone"), (0, "start"), (15, "f"), (20, "C.step")
+    ]
+
+
+def test_numpy_and_yaml_load_only_where_used():
+    # `import reactive_defense.cli` must load neither: the learning
+    # defender, replays, min-cut and the lower-bound experiment use no
+    # arrays, and only file commands read or write YAML.  The per-round
+    # functions reach numpy through module globals, never by importing.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        where = path.relative_to(ROOT)
+        for line, module in heavy_imports(source, str(path)):
+            if (path.name, module) != ("paths.py", "numpy"):
+                found.append(f"{where}:{line}: module-level import of {module}")
+        for line, name in imports_in(source, PER_ROUND_FUNCTIONS.get(path.name, ()), str(path)):
+            problem = "no such function" if line == 0 else "import statement"
+            found.append(f"{where}:{line}: {problem} in per-round {name}")
+    assert not found, "\n".join(found)
