@@ -13,10 +13,11 @@ System files (format_version 1) describe a graph system::
 
 Unknown keys are rejected.  Structural problems raise
 :class:`FileFormatError` with code E-IO (unreadable), E-SYNTAX (not
-UTF-8, or not parseable, which includes an integer past Python's
-int-string digit limit) or E-SCHEMA (wrong shape, or a number beyond the
-float range); semantic problems surface as
-:class:`~.model.ValidationError` with the model's own codes.
+UTF-8, or not parseable, which includes a key given twice in one
+mapping and an integer past Python's int-string digit limit) or
+E-SCHEMA (wrong shape, or a number beyond the float range); semantic
+problems surface as :class:`~.model.ValidationError` with the model's
+own codes.
 
 A recorded game becomes three files in one directory: ``trace.csv``
 (columns t, attack, cost, payoff, revealed, beta; attack steps joined by
@@ -28,8 +29,9 @@ time, so writing them takes memory independent of the game's length.
 Floats are written with ``repr`` so they round-trip binary64 exactly.
 Only ``trace.csv`` is read back, as the move list of a replay.
 
-Every output file is written here, its directory created first; one
-that cannot be made raises :class:`FileFormatError` with code E-IO.
+Every output file is written here through one opener that creates its
+directory first; a file that cannot be written raises
+:class:`FileFormatError` with code E-IO, naming that file.
 PyYAML is imported by the two functions that parse and dump YAML, so a
 command that reads and writes no YAML never loads it.
 """
@@ -40,10 +42,11 @@ import csv
 import json
 import math
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from os import PathLike
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 from .analysis import BoundReport
 from .attackers import MultiAttackRound
@@ -120,19 +123,13 @@ def _read_text(path: str | PathLike) -> str:
         raise FileFormatError("E-IO", f"cannot read {str(path)!r}: {exc}") from exc
 
 
-def _output_dir(path: str | PathLike) -> Path:
-    """``path`` as a directory, created with its parents if missing."""
-    out = Path(path)
+@contextmanager
+def _create(path: Path) -> Iterator[TextIO]:
+    """``path`` open for UTF-8 writing, its directory created first."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise FileFormatError("E-IO", f"cannot create {out}: {exc}") from exc
-    return out
-
-
-def _write_text(path: str | PathLike, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise FileFormatError("E-IO", f"cannot write {path}: {exc}") from exc
 
@@ -140,18 +137,61 @@ def _write_text(path: str | PathLike, text: str) -> None:
 def _parse_yaml(text: str, source: str):
     import yaml
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        # Keys are compared as composed, before any "<<" merge is expanded,
+        # so an explicit key may still override a merged one.
+        def compose_mapping_node(self, anchor):
+            node = super().compose_mapping_node(anchor)
+            seen = set()
+            for key, _ in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in seen:
+                        problem = f"found duplicate key {key.value!r}"
+                        raise yaml.composer.ComposerError(None, None, problem, key.start_mark)
+                    seen.add((key.tag, key.value))
+            return node
+
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=UniqueKeyLoader)
     # ValueError: integers past Python's digit limit, impossible dates.
     except (yaml.YAMLError, RecursionError, ValueError) as exc:
         raise FileFormatError("E-SYNTAX", f"{source}: not parseable YAML ({exc})") from exc
 
 
-def _reject_unknown(mapping: dict, allowed: set, source: str, where: str = "") -> None:
-    unknown = sorted(str(k) for k in set(mapping) - allowed)
+def _unique_pairs(pairs: list[tuple]) -> dict:
+    """A JSON object as a dict, refused if a key repeats."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def _mapping(value, allowed: set, source: str, where: str = "") -> dict:
+    """``value``, which must be a mapping with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        got = type(value).__name__
+        _schema(source, f"expected a mapping at {where or 'top level'}, got {got}")
+    unknown = sorted(str(k) for k in set(value) - allowed)
     if unknown:
         prefix = f"{where}: " if where else ""
         _schema(source, f"{prefix}unknown keys {unknown}")
+    return value
+
+
+def _document(doc, version: int, allowed: set, source: str) -> dict:
+    """A system file or config checked in order: a mapping, its
+    ``format_version``, its keys, and its optional labels."""
+    if isinstance(doc, dict):
+        found = _integer(doc.get("format_version"), "format_version", source)
+        if found != version:
+            _schema(source, f"format_version must be {version}, got {found!r}")
+    _mapping(doc, allowed, source)
+    for label in ("name", "description"):
+        if doc.get(label) is not None:
+            _string(doc, label, source)
+    return doc
 
 
 def _string(mapping: dict, key: str, source: str, where: str = "") -> str:
@@ -224,12 +264,7 @@ def system_from_doc(doc, source: str = "<doc>") -> System:
     Shape problems raise :class:`FileFormatError` (E-SCHEMA); violations
     of model invariants raise ``ValidationError``.
     """
-    if not isinstance(doc, dict):
-        _schema(source, f"expected a mapping at top level, got {type(doc).__name__}")
-    version = _integer(doc.get("format_version"), "format_version", source)
-    if version != SYSTEM_FORMAT_VERSION:
-        _schema(source, f"format_version must be {SYSTEM_FORMAT_VERSION}, got {version!r}")
-    _reject_unknown(doc, _SYSTEM_KEYS, source)
+    _document(doc, SYSTEM_FORMAT_VERSION, _SYSTEM_KEYS, source)
     start = _string(doc, "start", source)
     budget = _number(doc.get("budget"), "budget", source)
     rewards = _reward_map(doc.get("rewards"), source)
@@ -248,9 +283,7 @@ def _edge_rows(value, source: str) -> list[tuple]:
     rows = []
     for i, entry in enumerate(value):
         where = f"edges[{i}]"
-        if not isinstance(entry, dict):
-            _schema(source, f"{where} must be a mapping, got {entry!r}")
-        _reject_unknown(entry, _EDGE_KEYS, source, where)
+        _mapping(entry, _EDGE_KEYS, source, where)
         rows.append(
             (
                 *(_string(entry, key, source, where) for key in ("id", "src", "dst")),
@@ -281,15 +314,15 @@ def save_system(
     if header:
         comments = "".join(f"# {line}".rstrip() + "\n" for line in header.splitlines())
         text = comments + text
-    _write_text(path, text)
+    with _create(Path(path)) as fh:
+        fh.write(text)
 
 
 def emit_fixtures(out_dir: str | PathLike) -> Iterator[Path]:
     """Write every built-in fixture as ``<name>.yaml`` into ``out_dir``,
     yielding each path once it is written."""
-    out = _output_dir(out_dir)
     for name in sorted(FIXTURES):
-        path = out / f"{name}.yaml"
+        path = Path(out_dir) / f"{name}.yaml"
         save_system(fixture(name), path, name=name, header=f"built-in fixture {name}")
         yield path
 
@@ -324,39 +357,33 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
     """
     if not trace.records:
         raise ValueError("cannot write a trace with no rounds")
-    out = _output_dir(out_dir)
+    out = Path(out_dir)
 
     trace_path = out / "trace.csv"
-    try:
-        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for record in trace.records:
-                writer.writerow(
-                    [
-                        record.round_index,
-                        _format_attacks(record.attacks),
-                        repr(record.cost),
-                        repr(record.payoff),
-                        ";".join(record.newly_revealed),
-                        "" if record.beta is None else repr(record.beta),
-                    ]
-                )
-    except OSError as exc:
-        raise FileFormatError("E-IO", f"cannot write {trace_path}: {exc}") from exc
+    with _create(trace_path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for record in trace.records:
+            writer.writerow(
+                [
+                    record.round_index,
+                    _format_attacks(record.attacks),
+                    repr(record.cost),
+                    repr(record.payoff),
+                    ";".join(record.newly_revealed),
+                    "" if record.beta is None else repr(record.beta),
+                ]
+            )
 
     alloc_path = out / "allocations.json"
-    try:
-        with open(alloc_path, "w", encoding="utf-8") as fh:
-            sep = "{\n"
-            for r in trace.records:
-                body = _ROUND_ENCODER.encode(dict(r.allocation.alloc))[1:-1]
-                amounts = f"{{\n    {body}\n  }}" if body else "{}"
-                fh.write(f'{sep}  "{r.round_index}": {amounts}')
-                sep = ",\n"
-            fh.write("\n}\n")
-    except OSError as exc:
-        raise FileFormatError("E-IO", f"cannot write {alloc_path}: {exc}") from exc
+    with _create(alloc_path) as fh:
+        sep = "{\n"
+        for r in trace.records:
+            body = _ROUND_ENCODER.encode(dict(r.allocation.alloc))[1:-1]
+            amounts = f"{{\n    {body}\n  }}" if body else "{}"
+            fh.write(f'{sep}  "{r.round_index}": {amounts}')
+            sep = ",\n"
+        fh.write("\n}\n")
 
     costs = trace.costs()
     payoffs = trace.payoffs()
@@ -374,16 +401,18 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
         },
     }
     summary_path = out / "summary.json"
-    _write_text(summary_path, json.dumps(summary, indent=2) + "\n")
+    with _create(summary_path) as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
     return {"trace": trace_path, "allocations": alloc_path, "summary": summary_path}
 
 
 def write_bounds(reports: Iterable[BoundReport], out_dir: str | PathLike) -> Path:
     """Write ``bounds.json`` (the reports' ``as_dict`` forms) into
     ``out_dir`` and return its path."""
-    path = _output_dir(out_dir) / "bounds.json"
+    path = Path(out_dir) / "bounds.json"
     doc = {"reports": [r.as_dict() for r in reports]}
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    with _create(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return path
 
 
@@ -423,19 +452,17 @@ def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRoun
 def load_fixed_allocation(path: str | PathLike, system: System) -> DefenseAllocation:
     """One allocation from an edge-to-amount JSON file for ``system``.
 
-    E-IO if unreadable, E-SYNTAX if not JSON, E-SCHEMA if not a mapping
-    or keyed by edges the system lacks; amounts infeasible under its
-    budget or NaN raise ``ValueError``.
+    E-IO if unreadable, E-SYNTAX if not JSON or a key repeats, E-SCHEMA
+    if not a mapping or keyed by edges the system lacks; amounts
+    infeasible under its budget or NaN raise ``ValueError``.
     """
     text = _read_text(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_pairs)
     # JSONDecodeError is a ValueError, as is an integer past the digit limit.
     except (ValueError, RecursionError) as exc:
         raise FileFormatError("E-SYNTAX", f"{path}: not parseable JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        _schema(str(path), "expected a mapping at top level")
-    _reject_unknown(doc, set(system.edge_ids), str(path))
+    _mapping(doc, set(system.edge_ids), str(path))
     return DefenseAllocation(
         {edge: _number(amount, f"edge {edge}", str(path)) for edge, amount in doc.items()},
         system.budget,
@@ -468,13 +495,7 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
     """Read an experiment config; semantic problems report code E-CONFIG."""
     source = str(path)
     text = _read_text(path)
-    doc = _parse_yaml(text, source)
-    if not isinstance(doc, dict):
-        _schema(source, f"expected a mapping at top level, got {type(doc).__name__}")
-    _reject_unknown(doc, _CONFIG_KEYS, source)
-    version = _integer(doc.get("format_version"), "format_version", source)
-    if version != CONFIG_FORMAT_VERSION:
-        _schema(source, f"format_version must be {CONFIG_FORMAT_VERSION}, got {version!r}")
+    doc = _document(_parse_yaml(text, source), CONFIG_FORMAT_VERSION, _CONFIG_KEYS, source)
 
     def bad(message: str) -> NoReturn:
         raise FileFormatError("E-CONFIG", f"{source}: {message}")
@@ -488,6 +509,8 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
     seed = _integer(doc.get("seed", 0), "seed", source)
     checks_field = doc.get("checks", ["profit_regret"])
     checks = tuple(_string_list(checks_field, "checks", source))
+    if not checks:
+        bad("checks must name at least one check")
     for check in checks:
         if check not in KNOWN_CHECKS:
             bad(f"unknown check {check!r}, known: {', '.join(KNOWN_CHECKS)}")
@@ -498,9 +521,6 @@ def load_config(path: str | PathLike) -> ExperimentConfig:
             bad(f"alpha must be positive and finite, got {alpha}")
     if "roa_ratio" in checks and alpha is None:
         bad("the roa_ratio check needs a positive alpha")
-    # The name only labels the file, but a malformed one is still refused.
-    if doc.get("name") is not None:
-        _string(doc, "name", source)
     return ExperimentConfig(
         system=system,
         defender=defender,

@@ -196,6 +196,84 @@ def test_clause_system_files_exit_2_from_every_command(tmp_path, capsys):
         assert stdout == "", argv
 
 
+_TWO_EDGE_SYSTEM = (
+    "format_version: 1\nstart: s\nbudget: 1.0\nrewards: {r: 1.0}\nedges:\n"
+    "  - &base {id: e1, src: s, dst: r, surface: 1.0}\n"
+)
+
+
+def test_minimax_merge_keys_may_be_overridden(tmp_path, capsys):
+    path = tmp_path / "merge.yaml"
+    path.write_text(_TWO_EDGE_SYSTEM + "  - {<<: *base, id: e2, surface: 2.0}\n")
+    code, stdout, err = run_cli(capsys, "minimax", "--system", str(path))
+    assert code == 0, err
+    assert stdout == "objective roa\nvalue 3\nd e1 0.333333333333\nd e2 0.666666666667\n"
+
+
+_DUPLICATE_CONFIG = (
+    "format_version: 1\nsystem: fig2\nsystem: appendix_b\n"
+    "defender: reactive\nattacker: best-roa\nrounds: 5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, key",
+    [
+        (
+            "edges.yaml",
+            _TWO_EDGE_SYSTEM + "edges: [{id: e2, src: s, dst: r, surface: 2.0}]\n",
+            ["minimax", "--system"],
+            "edges",
+        ),
+        (
+            "rewards.yaml",
+            _TWO_EDGE_SYSTEM.replace("{r: 1.0}", "{r: 1.0, r: 5.0}"),
+            ["minimax", "--system"],
+            "r",
+        ),
+        (
+            "edge.yaml",
+            _TWO_EDGE_SYSTEM.replace("surface: 1.0}", "surface: 1.0, surface: 3.0}"),
+            ["minimax", "--system"],
+            "surface",
+        ),
+        (
+            "quoted.yaml",
+            _TWO_EDGE_SYSTEM.replace("{id: e1,", "{id: e1, 'id': e2,"),
+            ["minimax", "--system"],
+            "id",
+        ),
+        ("config.yaml", _DUPLICATE_CONFIG, ["verify-bounds", "--config"], "system"),
+        (
+            "alloc.json",
+            '{"left": 4.0, "left": 6.0}',
+            ["simulate", "--system", "fig2", "-T", "3", "--defender"],
+            "left",
+        ),
+    ],
+)
+def test_duplicate_keys_exit_2(tmp_path, capsys, monkeypatch, name, text, argv, key):
+    monkeypatch.setenv("REACTIVE_DEFENSE_OUT", str(tmp_path / "out"))
+    path = tmp_path / name
+    path.write_text(text)
+    if name.endswith(".json"):
+        path = f"fixed:{path}"
+    code, stdout, err = run_cli(capsys, *argv, str(path))
+    assert code == 2, err
+    assert "[E-SYNTAX]" in err and f"duplicate key '{key}'" in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("label", ["name: [1, 2]", "description: {a: 1}"])
+def test_minimax_refuses_malformed_labels(tmp_path, capsys, label):
+    path = tmp_path / "labelled.yaml"
+    path.write_text(f"{label}\n{_TWO_EDGE_SYSTEM}")
+    code, stdout, err = run_cli(capsys, "minimax", "--system", str(path))
+    assert code == 2
+    assert "[E-SCHEMA]" in err and "must be a non-empty string" in err
+    assert stdout == ""
+
+
 def test_simulate_rejects_nan_fixed_allocation(tmp_path, capsys):
     alloc = tmp_path / "nan.json"
     alloc.write_text('{"left": NaN}')
@@ -636,6 +714,15 @@ def test_verify_bounds_rejects_nan_alpha(tmp_path, capsys):
         assert code == 2
         assert "[E-CONFIG]" in err and "alpha must be positive" in err
         assert "roa-ratio" not in stdout
+
+
+def test_verify_bounds_rejects_empty_checks(tmp_path, capsys):
+    # An empty list would pass with nothing checked.
+    config = _write_config(tmp_path, checks=[])
+    code, stdout, err = run_cli(capsys, "verify-bounds", "--config", str(config))
+    assert code == 2
+    assert "[E-CONFIG]" in err and "checks must name at least one check" in err
+    assert stdout == ""
 
 
 def test_verify_bounds_config_errors(tmp_path, capsys):

@@ -6,6 +6,7 @@ import builtins
 import csv
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -31,6 +32,7 @@ from reactive_defense.generators import random_system
 from reactive_defense.io import (
     TRACE_COLUMNS,
     FileFormatError,
+    emit_fixtures,
     load_attack_sequence,
     load_config,
     load_fixed_allocation,
@@ -39,6 +41,7 @@ from reactive_defense.io import (
     save_system,
     system_from_doc,
     system_to_doc,
+    write_bounds,
     write_trace,
 )
 from reactive_defense.model import (
@@ -174,6 +177,19 @@ def test_load_system_semantic_errors(tmp_path):
         ),
         ({"format_version": True, "edges": []}, "'format_version' must be an integer"),
         ({"format_version": 1.0, "edges": []}, "'format_version' must be an integer"),
+        (
+            {"format_version": 1, "name": 5, "start": "s", "budget": 1, "edges": []},
+            "'name' must be a non-empty string, got 5",
+        ),
+        (
+            {"format_version": 1, "description": [1], "start": "s", "budget": 1, "edges": []},
+            r"'description' must be a non-empty string, got \[1\]",
+        ),
+        (
+            {"format_version": 1, "start": "s", "budget": 1, "edges": [["e", "s", "a", 1]]},
+            r"expected a mapping at edges\[0\], got list",
+        ),
+        ({"format_version": 2, "edges": [], "extra": 1}, "format_version must be 1, got 2"),
     ],
 )
 def test_system_from_doc_schema_errors(doc, fragment):
@@ -285,6 +301,35 @@ def _play(rounds=5):
         rounds=rounds,
         seed=0,
     )
+
+
+# Each output file, and a call that writes it.
+_WRITERS = {
+    "trace.csv": lambda out: write_trace(_play(), out),
+    "allocations.json": lambda out: write_trace(_play(), out),
+    "summary.json": lambda out: write_trace(_play(), out),
+    "bounds.json": lambda out: write_bounds([], out),
+    "fig4.yaml": lambda out: list(emit_fixtures(out)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_unwritable_outputs_are_io_errors(tmp_path, name):
+    write = _WRITERS[name]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    written = re.escape(str(out / name))
+    with pytest.raises(FileFormatError, match=f"cannot write {written}:") as err:
+        write(out)
+    assert err.value.code == "E-IO"
+
+    # a regular file where the output directory should be
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    inside = re.escape(str(blocker) + os.sep)
+    with pytest.raises(FileFormatError, match=f"cannot write {inside}") as err:
+        write(blocker)
+    assert err.value.code == "E-IO"
 
 
 def test_write_trace_files(tmp_path):
@@ -582,6 +627,8 @@ def test_load_config_full(tmp_path):
         ({"alpha": math.nan}, "E-CONFIG", "alpha must be positive"),
         ({"name": 5}, "E-SCHEMA", "'name' must be a non-empty string"),
         ({"alpha": math.inf}, "E-CONFIG", "alpha must be positive"),
+        ({"checks": []}, "E-CONFIG", "checks must name at least one check"),
+        ({"format_version": 7, "surprise": 1}, "E-SCHEMA", "format_version must be 1, got 7"),
     ],
 )
 def test_load_config_errors(tmp_path, overrides, code, fragment):
