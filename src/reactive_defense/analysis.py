@@ -18,8 +18,7 @@ import math
 import random
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
-from statistics import fmean
+from typing import NamedTuple
 
 from .attackers import star_edges
 from .defenders import (
@@ -36,8 +35,7 @@ from .model import DefenseAllocation, System, ordered_sum
 BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """A measured quantity against its guaranteed ceiling.
 
     ``satisfied`` means measured <= bound_rhs + BOUND_SLACK.  ``undefined``
@@ -97,6 +95,12 @@ def _hindsight_score(trace: GameTrace) -> tuple[float, float, dict[str, float]]:
     return best_cost, ordered_sum(trace.costs()), inputs
 
 
+def _mean(values: list[float]) -> float:
+    """Mean of ``values``: their correctly rounded sum over their count,
+    as ``fmean`` computes it."""
+    return math.fsum(values) / len(values)
+
+
 def _regret_ceiling(
     budget: float, log_edges: float, mean_inverse_surface: float, rounds: int
 ) -> float:
@@ -122,7 +126,7 @@ def profit_regret(trace: GameTrace) -> BoundReport:
         )
     best_cost, played_cost, inputs = _hindsight_score(trace)
     system, t = trace.system, trace.rounds
-    mean_inverse_surface = fmean(1.0 / e.surface for e in system.edges)
+    mean_inverse_surface = _mean([1.0 / e.surface for e in system.edges])
     inputs["mean_inverse_surface"] = mean_inverse_surface
     log_edges = math.log(len(system.edges))
     bound_rhs = _regret_ceiling(system.budget, log_edges, mean_inverse_surface, t)
@@ -171,8 +175,7 @@ def roa_threshold_rounds(system: System, alpha: float) -> int:
     return math.ceil(rounds)
 
 
-@dataclass(frozen=True)
-class GameValue:
+class GameValue(NamedTuple):
     """Guaranteed single-round cost with its witness allocation."""
 
     value: float
@@ -195,8 +198,7 @@ def game_value(system: System) -> GameValue:
     return GameValue(system.budget / ordered_sum(surfaces.values()), allocation)
 
 
-@dataclass(frozen=True)
-class GapStatistics:
+class GapStatistics(NamedTuple):
     """Hindsight-minus-played cost gap on the two-route system."""
 
     rounds: int
@@ -245,9 +247,9 @@ def lower_bound_experiment(
         _, best_cost = hindsight_from_usage(system, usage)
         played_costs.append(total_cost)
         hindsight_costs.append(best_cost)
-    mean_played = fmean(played_costs)
-    mean_hindsight = fmean(hindsight_costs)
-    mean_gap = fmean(h - p for h, p in zip(hindsight_costs, played_costs))
+    mean_played = _mean(played_costs)
+    mean_hindsight = _mean(hindsight_costs)
+    mean_gap = _mean([h - p for h, p in zip(hindsight_costs, played_costs)])
     return GapStatistics(
         rounds=rounds,
         num_seeds=num_seeds,

@@ -13,25 +13,24 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from .model import OBJECTIVES, Attack, DefenseAllocation, Edge, System, restrict_edges
+from .model import OBJECTIVES, Attack, DefenseAllocation, Edge, Immutable, System, restrict_edges
 
 if TYPE_CHECKING:
     from .paths import PathSet
 
 
-@dataclass(frozen=True)
-class MultiAttackRound:
+class MultiAttackRound(Immutable):
     """One round's attacks from a population of attackers (with repeats)."""
 
-    attacks: tuple[Attack, ...]
+    __slots__ = ("attacks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "attacks", tuple(self.attacks))
-        if not self.attacks:
+    def __init__(self, attacks: Iterable[Attack]):
+        attacks = tuple(attacks)
+        if not attacks:
             raise ValueError("a population round needs at least one attack")
+        object.__setattr__(self, "attacks", attacks)
 
 
 def random_parallel_attack(system: System, rng: random.Random) -> Attack:

@@ -24,8 +24,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar, NamedTuple
 
 from .model import DefenseAllocation, System, SystemView, ordered_sum, zero_allocation
 
@@ -241,8 +240,7 @@ def mincut_perimeter_defense(system: System, target: str) -> DefenseAllocation:
     return proportional_defense(system.budget, {e.id: e.surface for e in cut})
 
 
-@dataclass(frozen=True)
-class MinimaxResult:
+class MinimaxResult(NamedTuple):
     """Optimal fixed allocation and the attacker value it concedes."""
 
     allocation: DefenseAllocation

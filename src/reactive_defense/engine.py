@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .attackers import Attacker, MultiAttackRound
@@ -83,8 +82,7 @@ class RoundRecord(NamedTuple):
     beta: float | None
 
 
-@dataclass(frozen=True)
-class GameTrace:
+class GameTrace(NamedTuple):
     system: System
     records: tuple[RoundRecord, ...]
     defender: Mapping[str, Any]

@@ -14,42 +14,42 @@ and never validated on their own.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .model import Attack, DefenseAllocation, System, ordered_sum
+from .model import Attack, DefenseAllocation, Immutable, System, ordered_sum
 
 
 class InvalidProofError(ValueError):
     """Raised for clause sequences that are not valid proofs."""
 
 
-@dataclass(frozen=True)
-class HornClause:
+class HornClause(Immutable):
     """``antecedents -> consequent`` with a positive attack surface."""
 
-    id: str
-    antecedents: frozenset[str]
-    consequent: str
-    surface: float
+    __slots__ = ("id", "antecedents", "consequent", "surface")
 
-    def __post_init__(self):
-        object.__setattr__(self, "antecedents", frozenset(self.antecedents))
+    def __init__(self, id: str, antecedents: Iterable[str], consequent: str, surface: float):
+        set_field = object.__setattr__
+        set_field(self, "id", id)
+        set_field(self, "antecedents", frozenset(antecedents))
+        set_field(self, "consequent", consequent)
+        set_field(self, "surface", surface)
 
 
-@dataclass(frozen=True)
-class HornSystem:
+class HornSystem(Immutable):
     """Surfaced clauses, rewards on propositions, and a defense budget."""
 
-    clauses: tuple[HornClause, ...]
-    rewards: Mapping[str, float]
-    budget: float
+    __slots__ = ("clauses", "rewards", "budget", "_clause_map")
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(self.clauses))
-        object.__setattr__(self, "rewards", MappingProxyType(dict(self.rewards)))
-        object.__setattr__(self, "_clause_map", {c.id: c for c in self.clauses})
+    def __init__(self, clauses: Iterable[HornClause], rewards: Mapping[str, float], budget: float):
+        clauses = tuple(clauses)
+        set_field = object.__setattr__
+        set_field(self, "clauses", clauses)
+        set_field(self, "rewards", MappingProxyType(dict(rewards)))
+        set_field(self, "budget", budget)
+        set_field(self, "_clause_map", {c.id: c for c in clauses})
 
     def has_clause(self, clause_id: str) -> bool:
         return clause_id in self._clause_map
@@ -64,14 +64,13 @@ class HornSystem:
         return self.rewards.get(proposition, 0.0)
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(Immutable):
     """Ordered clause-id list; validity is checked against a system."""
 
-    clauses: tuple[str, ...]
+    __slots__ = ("clauses",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(self.clauses))
+    def __init__(self, clauses: Iterable[str]):
+        object.__setattr__(self, "clauses", tuple(clauses))
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -118,8 +117,7 @@ def horn_cost(system: HornSystem, proof: Proof, allocation: DefenseAllocation) -
     return ordered_sum(allocation.get(c) / system.clause(c).surface for c in proof.clauses)
 
 
-@dataclass(frozen=True)
-class GraphEmbedding:
+class GraphEmbedding(NamedTuple):
     """A graph system recast as Horn clauses, preserving cost and payoff.
 
     Each edge becomes a clause ``{src} -> dst`` with the same id and

@@ -43,10 +43,9 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from os import PathLike
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import NamedTuple, NoReturn, TextIO
 
 from .analysis import BoundReport
 from .attackers import MultiAttackRound
@@ -152,9 +151,18 @@ def _parse_yaml(text: str, source: str):
             return node
 
     try:
-        return yaml.load(text, Loader=UniqueKeyLoader)
+        loader = UniqueKeyLoader(text)
+        # Error marks name the file, not "<unicode string>".
+        loader.name = source
+        try:
+            return loader.get_single_data()
+        finally:
+            loader.dispose()
     # ValueError: integers past Python's digit limit, impossible dates.
     except (yaml.YAMLError, RecursionError, ValueError) as exc:
+        if isinstance(exc, yaml.reader.ReaderError):
+            # A non-printable character is found while the loader is built.
+            exc.name = source
         raise FileFormatError("E-SYNTAX", f"{source}: not parseable YAML ({exc})") from exc
 
 
@@ -271,7 +279,7 @@ def system_from_doc(doc, source: str = "<doc>") -> System:
     extra_vertices = set(_string_list(doc.get("vertices", []), "vertices", source))
     system = System.build(_edge_rows(doc.get("edges"), source), rewards, start, budget)
     if extra_vertices - system.vertices:
-        system = replace(system, vertices=system.vertices | extra_vertices)
+        system = System(system.vertices | extra_vertices, system.edges, system.rewards, start, budget)
     ensure_valid_system(system)
     return system
 
@@ -473,8 +481,7 @@ def load_fixed_allocation(path: str | PathLike, system: System) -> DefenseAlloca
 # experiment configs
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """One simulate-and-verify run, as read from a config file.
 
     ``system`` is a fixture name or file path (resolve with

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 # Allocations may exceed the budget by at most this relative slack.
 FEASIBILITY_RTOL = 1e-9
@@ -38,8 +38,7 @@ OBJECTIVES = ("roa", "profit")
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated model invariant, with a stable machine-readable code."""
 
     code: str
@@ -70,8 +69,7 @@ class EnumerationLimitError(RuntimeError):
         super().__init__(f"more than {limit} edge-simple attacks")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Directed edge with a positive attack surface."""
 
     id: str
@@ -80,8 +78,47 @@ class Edge:
     surface: float
 
 
-@dataclass(frozen=True)
-class System:
+class Immutable:
+    """Base of the value classes that normalise their fields on
+    construction.  The public names in ``__slots__`` are the fields: they
+    give ``==``, the hash and the repr, and ``__init__`` sets them once
+    with ``object.__setattr__``.  Underscored slots hold indexes derived
+    from the fields.  Any later assignment raises ``AttributeError``, so
+    ``copy`` and ``pickle`` rebuild a value through its constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class System(Immutable):
     """Attack graph: vertices with rewards, surfaced edges, start, budget.
 
     Instances are immutable value objects; helper accessors (``edge``,
@@ -90,21 +127,28 @@ class System:
     tolerated here and reported by :func:`validate_system`.
     """
 
-    vertices: frozenset[str]
-    edges: tuple[Edge, ...]
-    rewards: Mapping[str, float]
-    start: str
-    budget: float
+    __slots__ = ("vertices", "edges", "rewards", "start", "budget", "_edge_map", "_out")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "rewards", MappingProxyType(dict(self.rewards)))
-        object.__setattr__(self, "_edge_map", {e.id: e for e in self.edges})
+    def __init__(
+        self,
+        vertices: Iterable[str],
+        edges: Iterable[Edge],
+        rewards: Mapping[str, float],
+        start: str,
+        budget: float,
+    ):
+        edges = tuple(edges)
         out: dict[str, list[Edge]] = {}
-        for e in sorted(self.edges, key=lambda e: e.id):
+        for e in sorted(edges, key=lambda e: e.id):
             out.setdefault(e.src, []).append(e)
-        object.__setattr__(self, "_out", {v: tuple(es) for v, es in out.items()})
+        set_field = object.__setattr__
+        set_field(self, "vertices", frozenset(vertices))
+        set_field(self, "edges", edges)
+        set_field(self, "rewards", MappingProxyType(dict(rewards)))
+        set_field(self, "start", start)
+        set_field(self, "budget", budget)
+        set_field(self, "_edge_map", {e.id: e for e in edges})
+        set_field(self, "_out", {v: tuple(es) for v, es in out.items()})
 
     @classmethod
     def build(
@@ -151,8 +195,7 @@ class System:
         return self.out_edges(self.start)
 
 
-@dataclass(frozen=True)
-class SystemView:
+class SystemView(NamedTuple):
     """What a reactive defender sees at start: the start vertex and the
     budget, never edges or rewards; edges arrive only as round feedback."""
 
@@ -160,14 +203,14 @@ class SystemView:
     budget: float
 
 
-@dataclass(frozen=True)
-class Attack:
-    """Edge-simple path rooted at the start vertex, stored as edge ids."""
+class Attack(Immutable):
+    """Edge-simple path rooted at the start vertex; ``path`` is a tuple
+    of edge ids."""
 
-    path: tuple[str, ...]
+    __slots__ = ("path",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "path", tuple(self.path))
+    def __init__(self, path: Iterable[str]):
+        object.__setattr__(self, "path", tuple(path))
 
     def __len__(self) -> int:
         return len(self.path)
@@ -176,8 +219,7 @@ class Attack:
         return bool(self.path)
 
 
-@dataclass(frozen=True)
-class DefenseAllocation:
+class DefenseAllocation(Immutable):
     """Nonnegative split of a finite positive budget across edges.
 
     Edges absent from ``alloc`` receive zero.  The total may exceed the
@@ -185,24 +227,25 @@ class DefenseAllocation:
     is always feasible (a defender need not spend anything).
     """
 
-    alloc: Mapping[str, float]
-    budget: float
+    __slots__ = ("alloc", "budget")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alloc", MappingProxyType(dict(self.alloc)))
+    def __init__(self, alloc: Mapping[str, float], budget: float):
+        amounts = dict(alloc)
         # Finite too: an infinite budget admits infinite amounts, which
         # price as 0 * inf = NaN.
-        if not 0 < self.budget < math.inf:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+        if not 0 < budget < math.inf:
+            raise ValueError(f"budget must be positive, got {budget}")
         total = 0.0
-        for unit, amount in self.alloc.items():
+        for unit, amount in amounts.items():
             if not amount >= 0:
                 raise ValueError(f"negative or NaN allocation {amount} on {unit!r}")
             total += amount
-        if total > self.budget * (1.0 + FEASIBILITY_RTOL):
+        if total > budget * (1.0 + FEASIBILITY_RTOL):
             raise ValueError(
-                f"allocation total {total} exceeds budget {self.budget}"
+                f"allocation total {total} exceeds budget {budget}"
             )
+        object.__setattr__(self, "alloc", MappingProxyType(amounts))
+        object.__setattr__(self, "budget", budget)
 
     def get(self, unit: str) -> float:
         return self.alloc.get(unit, 0.0)

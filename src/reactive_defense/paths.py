@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,8 +39,7 @@ from .model import OBJECTIVES, Attack, DefenseAllocation, EnumerationLimitError,
 DEFAULT_ENUMERATION_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(NamedTuple):
     """The attacks a best response ranks: their ``PathSet`` rows in
     ascending order, their payoffs, and their price steps.  ``steps[k, i]``
     is the position in ``PathSet.surfaces`` of frontier attack ``i``'s k-th
@@ -52,8 +50,7 @@ class Frontier:
     steps: np.ndarray
 
 
-@dataclass(frozen=True)
-class PathSet:
+class PathSet(NamedTuple):
     """Precomputed enumeration of a system's attacks.
 
     ``surfaces`` lists the edge surfaces in system edge order, then 1.0
@@ -142,7 +139,7 @@ class PathSet:
                 frontier.append(row)
                 front_lengths.append(len(prefix))
                 front_positions.extend(prefix_positions)
-            attacks.append(Attack(tuple(prefix)))
+            attacks.append(Attack(prefix))
             payoffs.append(pay)
             walk.append((e.dst, row, pay, cuts, latest.get(e.dst)))
             latest[e.dst] = len(prefix)

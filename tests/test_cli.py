@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 import reactive_defense
 from conftest import brute_force_worst_case
 from reactive_defense import fixture
-from reactive_defense.io import load_system
+from reactive_defense.generators import random_system
+from reactive_defense.io import load_system, save_system
 from reactive_defense.cli import build_attacker, build_defender, main
 from reactive_defense.attackers import (
     BestResponseAttacker,
@@ -262,6 +265,27 @@ def test_duplicate_keys_exit_2(tmp_path, capsys, monkeypatch, name, text, argv, 
     assert code == 2, err
     assert "[E-SYNTAX]" in err and f"duplicate key '{key}'" in err
     assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "name, text, mark",
+    [
+        (
+            "dup_edges.yaml",
+            _TWO_EDGE_SYSTEM + "edges: [{id: e2, src: s, dst: r, surface: 2.0}]\n",
+            "found duplicate key 'edges'\n  in \"dup_edges.yaml\", line 7, column 1:",
+        ),
+        # Found while the loader is built, before it is given the name.
+        ("bell.yaml", _TWO_EDGE_SYSTEM + "# \a\n", "not allowed\n  in \"bell.yaml\", position 115)"),
+    ],
+)
+def test_yaml_error_marks_name_the_file(tmp_path, capsys, monkeypatch, name, text, mark):
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(text)
+    code, stdout, err = run_cli(capsys, "minimax", "--system", name)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: [E-SYNTAX] {name}: not parseable YAML (")
+    assert mark in err and "<unicode string>" not in err
 
 
 @pytest.mark.parametrize("label", ["name: [1, 2]", "description: {a: 1}"])
@@ -535,21 +559,26 @@ def _fresh_python(code: str, *args: str) -> str:
     return result.stdout
 
 
-@pytest.mark.parametrize("heavy", ["networkx", "scipy", "numpy", "yaml"])
+@pytest.mark.parametrize(
+    "heavy", ["networkx", "scipy", "numpy", "yaml", "dataclasses", "statistics"]
+)
 @pytest.mark.parametrize("package", ["reactive_defense", "reactive_defense.cli"])
 def test_import_does_not_load(package, heavy):
     # numpy loads with the first enumeration or minimax solve, PyYAML with
-    # the first YAML file; networkx and scipy are not runtime dependencies.
+    # the first YAML file; networkx and scipy are not runtime dependencies,
+    # and no package module imports dataclasses or statistics.
     probe = f"import sys, {package}; print({heavy!r} in sys.modules)"
     assert _fresh_python(probe).strip() == "False"
 
 
+# Blocks the modules named in argv[1], then runs the commands in argv[2].
 _BLOCKED_RUN = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = sys.modules["yaml"] = None
+for name in json.loads(sys.argv[1]):
+    sys.modules[name] = None
 from reactive_defense.cli import main
 runs = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -576,10 +605,37 @@ def test_commands_without_numpy_or_yaml_match_loaded_runs(tmp_path, capsys):
     names = ("trace.csv", "allocations.json", "summary.json")
     loaded = [list(run_cli(capsys, *argv)[:2]) for argv in commands]
     loaded_files = [(replay / name).read_bytes() for name in names]
-    blocked = json.loads(_fresh_python(_BLOCKED_RUN, json.dumps(commands)))
+    blocked = json.loads(_fresh_python(_BLOCKED_RUN, '["numpy", "yaml"]', json.dumps(commands)))
     assert [code for code, _ in blocked] == [0, 0, 0, 0]
     assert blocked == loaded
     assert [(replay / name).read_bytes() for name in names] == loaded_files
+
+
+def test_commands_without_dataclasses_or_statistics_match_loaded_runs(tmp_path, capsys):
+    # The commands that load numpy and PyYAML too: a game with
+    # enumerating best responses, the minimax LP, and the README's
+    # verify-bounds with its bounds file.
+    system = tmp_path / "br.yaml"
+    save_system(random_system(random.Random(26), 30, 10), system)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (config,) = re.findall(r"^cat > experiment\.yaml <<'EOF'\n(.*?)^EOF$", readme, re.M | re.S)
+    (tmp_path / "experiment.yaml").write_text(config, encoding="utf-8")
+    played, verified = tmp_path / "played", tmp_path / "verified"
+    commands = [
+        ["simulate", "--system", "fig2", "-T", "100", "--out", str(played)],
+        ["minimax", "--system", str(system)],
+        ["verify-bounds", "--config", str(tmp_path / "experiment.yaml"), "--out", str(verified)],
+    ]
+    names = ("trace.csv", "allocations.json", "summary.json")
+    files = [played / name for name in names] + [verified / name for name in (*names, "bounds.json")]
+    loaded = [list(run_cli(capsys, *argv)[:2]) for argv in commands]
+    loaded_files = [path.read_bytes() for path in files]
+    blocked = json.loads(
+        _fresh_python(_BLOCKED_RUN, '["dataclasses", "statistics"]', json.dumps(commands))
+    )
+    assert [code for code, _ in blocked] == [0, 0, 0]
+    assert blocked == loaded
+    assert [path.read_bytes() for path in files] == loaded_files
 
 
 def test_simulate_rejects_surface_with_infinite_reciprocal(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses; no package
 module calls the builtin ``sum`` or reaches BLAS or LAPACK; numpy and
-PyYAML load only where arrays or YAML are used, and no per-round function
-runs an import statement."""
+PyYAML load only where arrays or YAML are used, no package module imports
+``dataclasses`` or ``statistics``, and no per-round function runs an
+import statement."""
 
 from __future__ import annotations
 
@@ -145,6 +146,11 @@ def test_no_blas_or_lapack_in_src():
 # Imported at package import time only by paths.py (numpy), and never (PyYAML).
 HEAVY_MODULES = ("numpy", "yaml")
 
+# Imported by no package module, not even inside a function: each costs
+# more to load than the package's own modules (``dataclasses`` brings
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``).
+UNUSED_STDLIB = ("dataclasses", "statistics")
+
 # Functions that run every round of a game or of the lower-bound loop.
 PER_ROUND_FUNCTIONS = {
     "paths.py": (
@@ -161,6 +167,16 @@ PER_ROUND_FUNCTIONS = {
 }
 
 
+def _imported(node: ast.AST) -> list[str]:
+    """Top-level modules that ``node`` imports, if it is an absolute
+    import statement."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module.split(".")[0]]
+    return []
+
+
 def heavy_imports(source: str, filename: str = "<source>") -> list[tuple[int, str]]:
     """(line, module) for every import of a ``HEAVY_MODULES`` module that
     runs when the module itself is imported: outside every function body
@@ -170,17 +186,7 @@ def heavy_imports(source: str, filename: str = "<source>") -> list[tuple[int, st
     def visit(node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             return
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            names = []
-        found.extend(
-            (node.lineno, name.split(".")[0])
-            for name in names
-            if name.split(".")[0] in HEAVY_MODULES
-        )
+        found.extend((node.lineno, name) for name in _imported(node) if name in HEAVY_MODULES)
         if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
             children = node.orelse
         else:
@@ -190,6 +196,19 @@ def heavy_imports(source: str, filename: str = "<source>") -> list[tuple[int, st
 
     visit(ast.parse(source, filename))
     return sorted(found)
+
+
+def module_imports(
+    source: str, modules: Iterable[str], filename: str = "<source>"
+) -> list[tuple[int, str]]:
+    """(line, module) for every import of one of ``modules``, wherever it
+    runs: at module level, in a function or under ``TYPE_CHECKING``."""
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source, filename))
+        for name in _imported(node)
+        if name in modules
+    )
 
 
 def imports_in(
@@ -251,6 +270,9 @@ def test_import_scans_on_known_cases():
     assert imports_in(source, ["C.step", "f", "C.gone", "start"]) == [
         (0, "C.gone"), (0, "start"), (15, "f"), (20, "C.step")
     ]
+    assert module_imports(source, ["numpy", "os"]) == [
+        (1, "numpy"), (3, "os"), (4, "numpy"), (7, "numpy"), (11, "numpy"), (15, "numpy"), (23, "numpy")
+    ]
 
 
 def test_numpy_and_yaml_load_only_where_used():
@@ -268,4 +290,14 @@ def test_numpy_and_yaml_load_only_where_used():
         for line, name in imports_in(source, PER_ROUND_FUNCTIONS.get(path.name, ()), str(path)):
             problem = "no such function" if line == 0 else "import statement"
             found.append(f"{where}:{line}: {problem} in per-round {name}")
+    assert not found, "\n".join(found)
+
+
+def test_no_dataclasses_or_statistics_in_src():
+    # Value types are named tuples or ``model.Immutable`` classes, and a
+    # mean is ``math.fsum`` over the count.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, module in module_imports(path.read_text(encoding="utf-8"), UNUSED_STDLIB, str(path)):
+            found.append(f"{path.relative_to(ROOT)}:{line}: import of {module}")
     assert not found, "\n".join(found)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import attack_sequence
 from reactive_defense import fixture
+from reactive_defense.attackers import MultiAttackRound
+from reactive_defense.horn import HornClause, HornSystem, Proof
 from reactive_defense.model import (
     FEASIBILITY_RTOL,
     Attack,
     DefenseAllocation,
+    Edge,
     InvalidAttackError,
     System,
     ValidationError,
@@ -241,6 +246,78 @@ def test_restrict_edges():
     assert sub.budget == system.budget
     with pytest.raises(KeyError):
         restrict_edges(system, ["ghost"])
+
+
+_CLAUSE = HornClause("c", ["p"], "q", 1.0)
+
+# Each slotted value class: constructor arguments given as lists and
+# dicts, arguments that differ in one field, one field with the
+# immutable value it is stored as, and arguments the constructor refuses
+# with their exact messages.
+_SLOTTED = {
+    "Attack": (Attack, (["a", "b"],), (["a"],), "path", ("a", "b"), []),
+    "DefenseAllocation": (
+        DefenseAllocation,
+        ({"e": 0.5}, 1.0),
+        ({"e": 0.5}, 2.0),
+        "alloc",
+        MappingProxyType({"e": 0.5}),
+        [
+            (({"e": -0.25}, 1.0), "negative or NaN allocation -0.25 on 'e'"),
+            (({"e": math.nan}, 1.0), "negative or NaN allocation nan on 'e'"),
+            (({"e": 0.75, "f": 0.5}, 1.0), "allocation total 1.25 exceeds budget 1.0"),
+            (({}, 0.0), "budget must be positive, got 0.0"),
+            (({"e": math.inf}, math.inf), "budget must be positive, got inf"),
+        ],
+    ),
+    "MultiAttackRound": (
+        MultiAttackRound,
+        ([Attack(["a"]), Attack(["a"])],),
+        ([Attack(["a"])],),
+        "attacks",
+        (Attack(("a",)), Attack(("a",))),
+        [(([],), "a population round needs at least one attack")],
+    ),
+    "System": (
+        System,
+        (["s", "x"], [Edge("e", "s", "x", 1.0)], {"x": 1.0}, "s", 1.0),
+        (["s", "x"], [Edge("e", "s", "x", 1.0)], {"x": 1.0}, "s", 2.0),
+        "vertices",
+        frozenset({"s", "x"}),
+        [],
+    ),
+    "HornClause": (
+        HornClause, ("c", ["p"], "q", 1.0), ("c", ["p"], "q", 2.0), "antecedents", frozenset({"p"}), []
+    ),
+    "HornSystem": (
+        HornSystem, ([_CLAUSE], {"q": 1.0}, 1.0), ([_CLAUSE], {"q": 1.0}, 2.0), "clauses", (_CLAUSE,), []
+    ),
+    "Proof": (Proof, (["c", "c"],), (["c"],), "clauses", ("c", "c"), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLOTTED))
+def test_slotted_value_classes(name):
+    cls, args, other_args, field, stored, refused = _SLOTTED[name]
+    value = cls(*args)
+    assert type(getattr(value, field)) is type(stored)
+    assert getattr(value, field) == stored
+    twin = cls(*args)
+    assert twin is not value and twin == value and not twin != value
+    assert cls(*other_args) != value and not cls(*other_args) == value
+    # A mapping field makes a value unhashable, as a dict does.
+    if name in ("Attack", "HornClause", "MultiAttackRound", "Proof"):
+        assert hash(twin) == hash(value)
+    assert repr(value).startswith(f"{name}(") and f"{field}={stored!r}" in repr(value)
+    assert copy.copy(value) == value
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, stored)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for bad_args, message in refused:
+        with pytest.raises(ValueError) as caught:
+            cls(*bad_args)
+        assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
