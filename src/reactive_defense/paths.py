@@ -167,8 +167,9 @@ class PathSet(NamedTuple):
         """Amounts in system edge order, then a zero for the step past a
         path's end."""
         vec = np.zeros(len(self.surfaces))
+        index = self.edge_index.get
         for eid, amount in allocation.alloc.items():
-            j = self.edge_index.get(eid)
+            j = index(eid)
             if j is not None:
                 vec[j] = amount
         return vec

@@ -587,7 +587,9 @@ print(json.dumps(runs))
 """
 
 
-def test_commands_without_numpy_or_yaml_match_loaded_runs(tmp_path, capsys):
+def test_commands_without_numpy_yaml_dataclasses_or_statistics_match_loaded_runs(
+    tmp_path, capsys
+):
     # Any attempt to import a blocked module raises ImportError, which the
     # CLI reports as an unexpected error with exit 1.
     played = tmp_path / "played"
@@ -605,7 +607,11 @@ def test_commands_without_numpy_or_yaml_match_loaded_runs(tmp_path, capsys):
     names = ("trace.csv", "allocations.json", "summary.json")
     loaded = [list(run_cli(capsys, *argv)[:2]) for argv in commands]
     loaded_files = [(replay / name).read_bytes() for name in names]
-    blocked = json.loads(_fresh_python(_BLOCKED_RUN, '["numpy", "yaml"]', json.dumps(commands)))
+    blocked = json.loads(
+        _fresh_python(
+            _BLOCKED_RUN, '["numpy", "yaml", "dataclasses", "statistics"]', json.dumps(commands)
+        )
+    )
     assert [code for code, _ in blocked] == [0, 0, 0, 0]
     assert blocked == loaded
     assert [(replay / name).read_bytes() for name in names] == loaded_files
@@ -624,6 +630,7 @@ def test_commands_without_dataclasses_or_statistics_match_loaded_runs(tmp_path, 
     commands = [
         ["simulate", "--system", "fig2", "-T", "100", "--out", str(played)],
         ["minimax", "--system", str(system)],
+        ["minimax", "--system", "fig4", "--objective", "profit"],
         ["verify-bounds", "--config", str(tmp_path / "experiment.yaml"), "--out", str(verified)],
     ]
     names = ("trace.csv", "allocations.json", "summary.json")
@@ -633,7 +640,7 @@ def test_commands_without_dataclasses_or_statistics_match_loaded_runs(tmp_path, 
     blocked = json.loads(
         _fresh_python(_BLOCKED_RUN, '["dataclasses", "statistics"]', json.dumps(commands))
     )
-    assert [code for code, _ in blocked] == [0, 0, 0]
+    assert [code for code, _ in blocked] == [0, 0, 0, 0]
     assert blocked == loaded
     assert [path.read_bytes() for path in files] == loaded_files
 
@@ -678,8 +685,14 @@ def test_lower_bound_command(capsys):
         capsys, "lower-bound", "-T", "16", "--seeds", "20", "--base-seed", "3"
     )
     assert code == 0
-    assert "seeds 20" in stdout
-    assert "mean gap" in stdout
+    assert stdout == (
+        "rounds 16\n"
+        "seeds 20\n"
+        "mean played cost 7.62601497659\n"
+        "mean hindsight cost 9.55\n"
+        "mean gap 1.92398502341\n"
+        "gap per sqrt round 0.480996255852\n"
+    )
 
     code, _, err = run_cli(capsys, "lower-bound", "-T", "2", "--seeds", "many")
     assert code == 2

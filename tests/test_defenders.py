@@ -623,6 +623,7 @@ def test_simplex_hands_stalled_pivots_to_blands_rule():
     "argv",
     [
         ["minimax", "--system", "fig2", "--objective", "roa"],
+        ["minimax", "--system", "fig4", "--objective", "profit"],
         ["simulate", "--system", "fig2", "--defender", "minimax-roa", "-T", "5"],
     ],
 )
