@@ -41,25 +41,15 @@ class BoundReport(NamedTuple):
     ``satisfied`` means measured <= bound_rhs + BOUND_SLACK.  ``undefined``
     marks a ratio whose denominator was zero; such a report is never
     satisfied.  ``inputs`` echoes the parameters the ceiling was computed
-    from.
+    from.  The fields are in the order ``bounds.json`` writes them.
     """
 
     name: str
     measured: float
     bound_rhs: float
     satisfied: bool
+    undefined: bool
     inputs: Mapping[str, float]
-    undefined: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "bound_rhs": self.bound_rhs,
-            "satisfied": self.satisfied,
-            "undefined": self.undefined,
-            "inputs": dict(self.inputs),
-        }
 
 
 def _report(
@@ -70,7 +60,7 @@ def _report(
     undefined: bool = False,
 ) -> BoundReport:
     satisfied = (not undefined) and measured <= bound_rhs + BOUND_SLACK
-    return BoundReport(name, measured, bound_rhs, satisfied, dict(inputs), undefined)
+    return BoundReport(name, measured, bound_rhs, satisfied, undefined, dict(inputs))
 
 
 def _warn_on_small_surfaces(system: System) -> None:

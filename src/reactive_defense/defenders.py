@@ -245,7 +245,6 @@ class MinimaxResult(NamedTuple):
 
     allocation: DefenseAllocation
     value: float
-    objective: str
 
 
 def minimax_proactive_defense(system: System, objective: str = "roa") -> MinimaxResult:
@@ -272,7 +271,7 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
     budget = system.budget
     if not (payoffs > 0).any():
         # Nothing is worth attacking; any feasible allocation concedes 0.
-        return MinimaxResult(zero_allocation(budget), 0.0, objective)
+        return MinimaxResult(zero_allocation(budget), 0.0)
     # 1 / surface on each edge a frontier attack uses; the last column, the
     # zero-price slot past an attack's end, is dropped.
     rates = np.zeros((len(payoffs), len(pathset.surfaces)))
@@ -301,7 +300,7 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
     value = max(0.0, select_best_response(pathset, allocation, objective).value)
     if not abs(value - bound) <= 1e-9 * scale:
         raise RuntimeError(f"minimax solve failed: value {value!r}, dual bound {bound!r}")
-    return MinimaxResult(allocation, value, objective)
+    return MinimaxResult(allocation, value)
 
 
 def _max_shadow_prices(

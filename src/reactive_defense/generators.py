@@ -43,9 +43,4 @@ def random_system(
         edges.append(Edge(f"e{i}", src, dst, draw_surface()))
     rewards = {v: float(rng.randint(0, 20)) for v in vertices[1:]}
     budget = rng.randint(1, 40) / 4.0
-    return System.build(
-        edges=[(e.id, e.src, e.dst, e.surface) for e in edges],
-        rewards=rewards,
-        start=start,
-        budget=budget,
-    )
+    return System.build(edges=edges, rewards=rewards, start=start, budget=budget)

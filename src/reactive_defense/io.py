@@ -415,10 +415,10 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
 
 
 def write_bounds(reports: Iterable[BoundReport], out_dir: str | PathLike) -> Path:
-    """Write ``bounds.json`` (the reports' ``as_dict`` forms) into
+    """Write ``bounds.json`` (the reports' ``_asdict`` forms) into
     ``out_dir`` and return its path."""
     path = Path(out_dir) / "bounds.json"
-    doc = {"reports": [r.as_dict() for r in reports]}
+    doc = {"reports": [r._asdict() for r in reports]}
     with _create(path) as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
     return path

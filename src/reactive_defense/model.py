@@ -215,9 +215,6 @@ class Attack(Immutable):
     def __len__(self) -> int:
         return len(self.path)
 
-    def __bool__(self) -> bool:
-        return bool(self.path)
-
 
 class DefenseAllocation(Immutable):
     """Nonnegative split of a finite positive budget across edges.

@@ -370,13 +370,10 @@ def test_criterion_11_horn_embedding_preserves_the_game():
         for attack in attack_sequence(system, rng, 5):
             proof = embedding.translate_attack(attack)
             validate_proof(embedding.horn, proof)
-            assert abs(
-                horn_payoff(embedding.horn, proof) - payoff(system, attack)
-            ) <= 1e-12
-            assert abs(
-                horn_cost(embedding.horn, proof, allocation)
-                - cost(system, attack, allocation)
-            ) <= 1e-12
+            assert horn_payoff(embedding.horn, proof) == payoff(system, attack)
+            assert horn_cost(embedding.horn, proof, allocation) == cost(
+                system, attack, allocation
+            )
 
         moves = attack_sequence(system, rng, rng.randint(1, 6))
         masses = round_edge_usage(moves)

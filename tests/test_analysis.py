@@ -60,7 +60,7 @@ def test_profit_regret_hand_case():
     assert report.inputs["budget"] == 1.0
     assert report.inputs["num_edges"] == 2
     assert report.inputs["rounds"] == 4
-    assert report.as_dict()["satisfied"] is True
+    assert report._asdict()["satisfied"] is True
 
     # |E| counts every system edge, revealed or not: attacking only b0 of
     # the four-leaf star still gives ln 4 and mean(1/w) over four edges

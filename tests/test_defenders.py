@@ -405,7 +405,6 @@ def test_mincut_rejects_bad_targets():
 def test_minimax_roa_layered_chain():
     system = fixture("fig2")
     result = minimax_proactive_defense(system, "roa")
-    assert result.objective == "roa"
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert result.allocation.get("left") == pytest.approx(5.0, abs=1e-6)
     assert result.allocation.get("right") == pytest.approx(5.0, abs=1e-6)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import attack_sequence
 from reactive_defense import fixture
 from reactive_defense.attackers import MultiAttackRound
-from reactive_defense.horn import HornClause, HornSystem, Proof
 from reactive_defense.model import (
     FEASIBILITY_RTOL,
     Attack,
@@ -73,6 +72,11 @@ def test_layered_chain_shape():
     assert system.surface("right") == 5.0 / 9.0
     assert system.reward("front") == 1.0
     assert system.reward("db") == 9.0
+
+
+def test_attack_truth_follows_its_length():
+    assert bool(Attack(())) is False
+    assert bool(Attack(("a",))) is True
 
 
 def test_payoff_counts_distinct_vertices():
@@ -248,8 +252,6 @@ def test_restrict_edges():
         restrict_edges(system, ["ghost"])
 
 
-_CLAUSE = HornClause("c", ["p"], "q", 1.0)
-
 # Each slotted value class: constructor arguments given as lists and
 # dicts, arguments that differ in one field, one field with the
 # immutable value it is stored as, and arguments the constructor refuses
@@ -286,13 +288,6 @@ _SLOTTED = {
         frozenset({"s", "x"}),
         [],
     ),
-    "HornClause": (
-        HornClause, ("c", ["p"], "q", 1.0), ("c", ["p"], "q", 2.0), "antecedents", frozenset({"p"}), []
-    ),
-    "HornSystem": (
-        HornSystem, ([_CLAUSE], {"q": 1.0}, 1.0), ([_CLAUSE], {"q": 1.0}, 2.0), "clauses", (_CLAUSE,), []
-    ),
-    "Proof": (Proof, (["c", "c"],), (["c"],), "clauses", ("c", "c"), []),
 }
 
 
@@ -306,7 +301,7 @@ def test_slotted_value_classes(name):
     assert twin is not value and twin == value and not twin != value
     assert cls(*other_args) != value and not cls(*other_args) == value
     # A mapping field makes a value unhashable, as a dict does.
-    if name in ("Attack", "HornClause", "MultiAttackRound", "Proof"):
+    if name in ("Attack", "MultiAttackRound"):
         assert hash(twin) == hash(value)
     assert repr(value).startswith(f"{name}(") and f"{field}={stored!r}" in repr(value)
     assert copy.copy(value) == value
