@@ -5,7 +5,9 @@ round (worst-case knowledge), except the oblivious responder, which only
 knows a fixed subset of edges.  Best responders rank the attacks of a
 ``paths.PathSet`` with ``paths.select_best_response``.  The policies that
 enumerate attacks import ``paths``, and with it numpy, in ``start``: a
-game without them never loads numpy.
+game without them never loads numpy.  A move is one ``Attack`` or a
+population round, a non-empty tuple of attacks; ``round_attacks`` turns
+either into the round's attacks.
 """
 
 from __future__ import annotations
@@ -15,22 +17,22 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
-from .model import OBJECTIVES, Attack, DefenseAllocation, Edge, Immutable, System, restrict_edges
+from .model import OBJECTIVES, Attack, DefenseAllocation, Edge, System, restrict_edges
 
 if TYPE_CHECKING:
     from .paths import PathSet
 
 
-class MultiAttackRound(Immutable):
-    """One round's attacks from a population of attackers (with repeats)."""
-
-    __slots__ = ("attacks",)
-
-    def __init__(self, attacks: Iterable[Attack]):
-        attacks = tuple(attacks)
-        if not attacks:
-            raise ValueError("a population round needs at least one attack")
-        object.__setattr__(self, "attacks", attacks)
+def round_attacks(move: Attack | Iterable[Attack]) -> tuple[Attack, ...]:
+    """The attacks of one round's move: a lone ``Attack`` is a one-attack
+    round; any other move is a population round, its attacks in order
+    (with repeats), and must hold at least one."""
+    if isinstance(move, Attack):
+        return (move,)
+    attacks = tuple(move)
+    if not attacks:
+        raise ValueError("a population round needs at least one attack")
+    return attacks
 
 
 def random_parallel_attack(system: System, rng: random.Random) -> Attack:
@@ -59,7 +61,7 @@ class Attacker(ABC):
 
     ``start`` receives the full system and the engine's seeded generator;
     ``attack`` sees the committed allocation and returns either a single
-    ``Attack`` or a ``MultiAttackRound``.
+    ``Attack`` or a population round, a tuple of attacks (``round_attacks``).
     """
 
     @abstractmethod
@@ -67,7 +69,7 @@ class Attacker(ABC):
         """Reset for a fresh game."""
 
     @abstractmethod
-    def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack | MultiAttackRound:
+    def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack | tuple[Attack, ...]:
         """The round's move, chosen with full view of the allocation."""
 
     @abstractmethod
@@ -123,10 +125,10 @@ class RandomPathAttacker(Attacker):
 class FixedSequenceAttacker(Attacker):
     """Replays a predetermined move list; it must cover the horizon."""
 
-    def __init__(self, moves: Sequence[Attack | MultiAttackRound]):
+    def __init__(self, moves: Sequence[Attack | Iterable[Attack]]):
         if not moves:
             raise ValueError("fixed sequence is empty")
-        self._moves = tuple(moves)
+        self._moves = tuple(map(round_attacks, moves))
 
     def start(self, system: System, rng: random.Random, horizon: int) -> None:
         if horizon > len(self._moves):
@@ -134,7 +136,7 @@ class FixedSequenceAttacker(Attacker):
                 f"fixed sequence has {len(self._moves)} moves, game needs {horizon}"
             )
 
-    def attack(self, allocation: DefenseAllocation, round_index: int) -> Attack | MultiAttackRound:
+    def attack(self, allocation: DefenseAllocation, round_index: int) -> tuple[Attack, ...]:
         return self._moves[round_index - 1]
 
     def describe(self) -> dict[str, Any]:
@@ -175,15 +177,11 @@ class MultiAttacker(Attacker):
         for member in self._members:
             member.start(system, rng, horizon)
 
-    def attack(self, allocation: DefenseAllocation, round_index: int) -> MultiAttackRound:
-        moves: list[Attack] = []
+    def attack(self, allocation: DefenseAllocation, round_index: int) -> tuple[Attack, ...]:
+        attacks: list[Attack] = []
         for member in self._members:
-            move = member.attack(allocation, round_index)
-            if isinstance(move, MultiAttackRound):
-                moves.extend(move.attacks)
-            else:
-                moves.append(move)
-        return MultiAttackRound(tuple(moves))
+            attacks += round_attacks(member.attack(allocation, round_index))
+        return tuple(attacks)
 
     def describe(self) -> dict[str, Any]:
         return {"policy": "multi", "members": [m.describe() for m in self._members]}

@@ -56,7 +56,7 @@ from .io import (
     write_bounds,
     write_trace,
 )
-from .model import DefenseAllocation, EnumerationLimitError, System, ordered_sum
+from .model import OBJECTIVES, DefenseAllocation, EnumerationLimitError, System, ordered_sum
 
 DEFENDER_SPECS = (
     "reactive, known[:beta], uniform, myopic, minimax-roa, minimax-profit, "
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimax", help="one-shot allocation optimizing the worst case")
     p.add_argument("--system", required=True, help="fixture name or system file")
-    p.add_argument("--objective", choices=("roa", "profit"), default="roa")
+    p.add_argument("--objective", choices=OBJECTIVES, default="roa")
     p.set_defaults(func=_cmd_minimax)
 
     p = sub.add_parser("mincut", help="perimeter defense from a minimum cut")

@@ -26,7 +26,7 @@ from collections import deque
 from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, Any, ClassVar, NamedTuple
 
-from .model import DefenseAllocation, System, SystemView, ordered_sum, zero_allocation
+from .model import OBJECTIVES, DefenseAllocation, System, SystemView, ordered_sum, zero_allocation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -260,7 +260,7 @@ def minimax_proactive_defense(system: System, objective: str = "roa") -> Minimax
     The value is the attacker's best response to the allocation (floored
     at 0), and RuntimeError is raised unless the dual optimum matches it.
     """
-    if objective not in ("roa", "profit"):
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     import numpy as np
 

@@ -3,10 +3,12 @@
 Each round the defender commits an allocation first, knowing only prior
 attacks; the attacker then moves with full view of that allocation; the
 attack's edges (with surfaces) are revealed back to the defender and the
-round is recorded.  Reactive defenders never see the system itself: they
-start knowing only the start vertex and the budget, learn edges from each
-round's feedback, and the engine rejects any reactive allocation that
-strays outside the revealed set.
+round is recorded.  A round's attacks are a tuple: one attack, or a
+population round of several (``attackers.round_attacks``).  Reactive
+defenders never see the system itself: they start knowing only the start
+vertex and the budget, learn edges from each round's feedback, and the
+engine rejects any reactive allocation that strays outside the revealed
+set.
 
 Each distinct attack path gets one per-game entry the first time it is
 played: the path is validated, and the entry holds its payoff and its
@@ -28,7 +30,7 @@ import random
 from collections.abc import Mapping, Sequence
 from typing import Any, NamedTuple
 
-from .attackers import Attacker, MultiAttackRound
+from .attackers import Attacker, round_attacks
 from .defenders import Defender
 from .model import (
     Attack,
@@ -145,8 +147,7 @@ def run_game(
                 raise ReactiveContractError(
                     f"round {t}: reactive allocation on unrevealed edges {stray}"
                 )
-        move = attacker.attack(allocation, t)
-        attacks = move.attacks if isinstance(move, MultiAttackRound) else (move,)
+        attacks = round_attacks(attacker.attack(allocation, t))
         newly: list[str] = []
         surfaces: dict[str, float] = {}
         total_cost = total_payoff = 0.0

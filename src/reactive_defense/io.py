@@ -21,13 +21,14 @@ own codes.
 
 A recorded game becomes three files in one directory: ``trace.csv``
 (columns t, attack, cost, payoff, revealed, beta; attack steps joined by
-";", simultaneous attacks by "|"), ``allocations.json`` (round index to
-edge amounts, ids sorted, laid out as ``json.dumps(..., indent=2)``) and
-``summary.json`` (format version, seed, policy descriptors, the embedded
-system document and totals).  The first two are streamed a round at a
-time, so writing them takes memory independent of the game's length.
-Floats are written with ``repr`` so they round-trip binary64 exactly.
-Only ``trace.csv`` is read back, as the move list of a replay.
+";", the attacks of a population round by "|"), ``allocations.json``
+(round index to edge amounts, ids sorted, laid out as
+``json.dumps(..., indent=2)``) and ``summary.json`` (format version,
+seed, policy descriptors, the embedded system document and totals).  The
+first two are streamed a round at a time, so writing them takes memory
+independent of the game's length.  Floats are written with ``repr`` so
+they round-trip binary64 exactly.  Only ``trace.csv`` is read back, each
+row as its round's tuple of attacks, to be replayed.
 
 Every output file is written here through one opener that creates its
 directory first; a file that cannot be written raises
@@ -48,7 +49,6 @@ from pathlib import Path
 from typing import NamedTuple, NoReturn, TextIO
 
 from .analysis import BoundReport
-from .attackers import MultiAttackRound
 from .engine import GameTrace
 from .fixtures import FIXTURES, fixture
 from .model import (
@@ -424,8 +424,8 @@ def write_bounds(reports: Iterable[BoundReport], out_dir: str | PathLike) -> Pat
     return path
 
 
-def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRound, ...]:
-    """Replayable per-round moves from a trace.csv file."""
+def load_attack_sequence(path: str | PathLike) -> tuple[tuple[Attack, ...], ...]:
+    """Each recorded round's attacks from a trace.csv file, a tuple per round."""
     text = _read_text(path)
     # csv rejects NUL on Python 3.10 only; ids are plain tokens, so refuse it everywhere.
     if "\0" in text:
@@ -439,7 +439,7 @@ def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRoun
     header = rows[0]
     if tuple(header) != TRACE_COLUMNS:
         _schema(str(path), f"unexpected columns {header!r}, want {list(TRACE_COLUMNS)}")
-    moves: list[Attack | MultiAttackRound] = []
+    moves: list[tuple[Attack, ...]] = []
     for line_number, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -451,7 +451,7 @@ def load_attack_sequence(path: str | PathLike) -> tuple[Attack | MultiAttackRoun
             if not steps:
                 _schema(str(path), f"line {line_number}: empty attack")
             attacks.append(Attack(steps))
-        moves.append(attacks[0] if len(attacks) == 1 else MultiAttackRound(tuple(attacks)))
+        moves.append(tuple(attacks))
     if not moves:
         _schema(str(path), "no rounds recorded")
     return tuple(moves)

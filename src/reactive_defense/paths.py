@@ -190,14 +190,13 @@ class PathSet(NamedTuple):
 class BestResponse(NamedTuple):
     """Selected attack with its objective value.
 
-    ``undefined`` marks the return-on-attack corner where no attack has
-    positive payoff: the maximum-payoff attack is returned and the ratio
-    carries the undefined marker.
+    In the return-on-attack corner where no attack has positive payoff,
+    the maximum-payoff attack is returned and ``value`` is the undefined
+    marker ``math.nan``.
     """
 
     attack: Attack
     value: float
-    undefined: bool = False
 
 
 def select_best_response(
@@ -226,9 +225,9 @@ def select_best_response(
     if pays[i] > 0:
         return BestResponse(pathset.attacks[front.rows[i]], float(finite[i]))
     # Nothing has positive payoff; fall back to a maximum-payoff attack
-    # (all zero here) and flag the ratio as undefined.
+    # (all zero here); the ratio is undefined.
     i = _first_best(pays, costs)
-    return BestResponse(pathset.attacks[front.rows[i]], math.nan, undefined=True)
+    return BestResponse(pathset.attacks[front.rows[i]], math.nan)
 
 
 def _first_best(values: np.ndarray, costs: np.ndarray) -> int:

@@ -13,7 +13,6 @@ from conftest import best_response, sample_systems
 from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, run_game
 from reactive_defense.attackers import (
     FixedSequenceAttacker,
-    MultiAttackRound,
     MultiAttacker,
     ObliviousAttacker,
     RandomPathAttacker,
@@ -40,7 +39,6 @@ def test_best_response_roa_free_edges_dominate():
     pick = best_response(system, zero_allocation(10.0), "roa")
     assert pick.attack.path == ("left",)
     assert pick.value == math.inf
-    assert not pick.undefined
 
 
 def test_best_response_roa_layered_chain():
@@ -82,7 +80,6 @@ def test_best_response_undefined_when_nothing_pays():
         edges=[("e1", "s", "a", 1.0), ("e2", "a", "b", 1.0)], budget=1.0
     )
     pick = best_response(system, zero_allocation(1.0), "roa")
-    assert pick.undefined
     assert math.isnan(pick.value)
     assert pick.attack.path == ("e1",)
 
@@ -120,7 +117,7 @@ def _lexsort_best_response(
     if pays[i] > 0:
         return BestResponse(pathset.attacks[i], math.inf if free[i] else float(finite[i]))
     i = int(np.lexsort((lex_rank, costs, -pays))[0])
-    return BestResponse(pathset.attacks[i], math.nan, undefined=True)
+    return BestResponse(pathset.attacks[i], math.nan)
 
 
 def _criterion_systems() -> list[tuple[int, System]]:
@@ -186,7 +183,6 @@ def _assert_same_pick(pathset, allocation, *objectives) -> BestResponse:
         want = _lexsort_best_response(pathset, costs, objective)
         got = select_best_response(pathset, allocation, objective)
         assert got.attack == want.attack
-        assert got.undefined == want.undefined
         assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value))
     return got
 
@@ -211,10 +207,10 @@ def test_selection_tie_branches_match_lexsort_order():
     pick = _assert_same_pick(fig2, zero_allocation(10.0), "roa")
     assert (pick.attack.path, pick.value) == (("left",), math.inf)
 
-    # undefined: nothing pays, so the cheapest zero-payoff attack is flagged
+    # undefined: nothing pays, so the cheapest zero-payoff attack is picked at NaN
     barren = System.build(edges=[("e1", "s", "a", 1.0), ("e2", "a", "b", 1.0)])
     pick = _assert_same_pick(PathSet.enumerate(barren), zero_allocation(1.0), "roa")
-    assert pick.undefined and pick.attack.path == ("e1",)
+    assert math.isnan(pick.value) and pick.attack.path == ("e1",)
 
     # cost-decided tie: both attacks return exactly 1.0, the cheaper wins
     split = DefenseAllocation({"left": 5.0, "right": 5.0}, 10.0)
@@ -326,13 +322,17 @@ def test_fixed_sequence_attacker():
     moves = [Attack(("left",)), Attack(("left", "right"))]
     attacker = FixedSequenceAttacker(moves)
     attacker.start(fixture("fig2"), random.Random(0), horizon=2)
-    assert attacker.attack(zero_allocation(10.0), 1).path == ("left",)
-    assert attacker.attack(zero_allocation(10.0), 2).path == ("left", "right")
+    # each move is replayed as its round's attacks, a lone attack as a one-tuple
+    assert attacker.attack(zero_allocation(10.0), 1) == (moves[0],)
+    assert attacker.attack(zero_allocation(10.0), 2) == (moves[1],)
     assert attacker.describe() == {"policy": "fixed-sequence", "length": 2}
     with pytest.raises(ValueError, match="game needs 3"):
         attacker.start(fixture("fig2"), random.Random(0), horizon=3)
     with pytest.raises(ValueError, match="empty"):
         FixedSequenceAttacker([])
+    # an empty round is refused when the sequence is built, not when played
+    with pytest.raises(ValueError, match="a population round needs at least one attack"):
+        FixedSequenceAttacker([()])
 
 
 def test_oblivious_attacker_restricted_view():
@@ -359,15 +359,13 @@ def test_multi_attacker_flattens_members():
     )
     population.start(system, random.Random(0), horizon=2)
     round_ = population.attack(zero_allocation(10.0), 1)
-    assert isinstance(round_, MultiAttackRound)
-    assert len(round_.attacks) == 2
+    assert isinstance(round_, tuple)
+    assert len(round_) == 2
     described = population.describe()
     assert described["policy"] == "multi"
     assert len(described["members"]) == 2
     with pytest.raises(ValueError, match="at least one member"):
         MultiAttacker([])
-    with pytest.raises(ValueError, match="at least one attack"):
-        MultiAttackRound(())
 
 
 def test_nested_multi_attacker_flattens_recursively():
@@ -376,4 +374,4 @@ def test_nested_multi_attacker_flattens_recursively():
     outer = MultiAttacker([inner, BestResponseAttacker("profit")])
     outer.start(system, random.Random(0), horizon=1)
     round_ = outer.attack(zero_allocation(1.0), 1)
-    assert len(round_.attacks) == 3
+    assert len(round_) == 3

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -14,7 +13,6 @@ from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, ru
 from reactive_defense.attackers import (
     Attacker,
     FixedSequenceAttacker,
-    MultiAttackRound,
     MultiAttacker,
     RandomPathAttacker,
 )
@@ -183,7 +181,7 @@ def test_invalid_path_is_rejected_whenever_it_is_played():
         assert observed == [1, 2]
         # and again when a later game plays it later, beside a valid attack
         observed.clear()
-        moves = [deep, left, left, deep, MultiAttackRound((left, bad)), bad]
+        moves = [deep, left, left, deep, (left, bad), bad]
         with pytest.raises(InvalidAttackError):
             run_game(system, Recorder(), FixedSequenceAttacker(moves), rounds=6)
         assert observed == [1, 2, 3, 4]
@@ -262,7 +260,7 @@ def test_records_recompute_from_snapshots():
 def test_population_round_logs_means():
     system = fixture("fig4")
     moves = [
-        MultiAttackRound((Attack(("left",)), Attack(("right",)))),
+        (Attack(("left",)), Attack(("right",))),
         Attack(("left",)),
     ]
     defense = DefenseAllocation({"left": 3.0, "right": 6.0}, 9.0)
@@ -283,7 +281,7 @@ def test_population_round_logs_means():
 def test_edge_usage_weighs_population_rounds():
     system = fixture("fig4")
     moves = [
-        MultiAttackRound((Attack(("left",)), Attack(("left",)), Attack(("right",)))),
+        (Attack(("left",)), Attack(("left",)), Attack(("right",))),
         Attack(("left",)),
     ]
     trace = run_game(
@@ -303,11 +301,7 @@ def test_learner_is_fed_per_attacker_usage():
             fed.append(dict(feedback.edge_weights))
             super().observe(feedback)
 
-    moves = [
-        MultiAttackRound(
-            (Attack(("left",)), Attack(("left", "right")), Attack(("left",)))
-        )
-    ]
+    moves = [(Attack(("left",)), Attack(("left", "right")), Attack(("left",)))]
     run_game(fixture("fig2"), Recorder(), FixedSequenceAttacker(moves), rounds=1)
     assert fed == [{"left": 1.0, "right": 1.0 / 3.0}]
 
@@ -377,12 +371,28 @@ def test_engine_rejects_invalid_attacks_after_valid_rounds():
             with pytest.raises(InvalidAttackError) as caught:
                 validate_attack(system, bad)
             expected = str(caught.value)
-        for last in (bad, MultiAttackRound((left, bad))):
+        for last in (bad, (left, bad)):
             replay = FixedSequenceAttacker([left, deep, left, last])
             run_game(system, uniform_defender(system), replay, rounds=3)
             with pytest.raises(InvalidAttackError) as raised:
                 run_game(system, uniform_defender(system), replay, rounds=4)
             assert str(raised.value) == expected
+
+
+def test_engine_refuses_an_empty_round():
+    class Silent(Attacker):
+        def start(self, system, rng, horizon):
+            pass
+
+        def attack(self, allocation, round_index):
+            return ()
+
+        def describe(self):
+            return {"policy": "silent"}
+
+    system = fixture("fig2")
+    with pytest.raises(ValueError, match="a population round needs at least one attack"):
+        run_game(system, uniform_defender(system), Silent(), rounds=1)
 
 
 def test_trace_carries_descriptors():
@@ -418,7 +428,7 @@ def test_round_records_are_immutable_and_built_positionally():
             ("round_index", "attacks", "surfaces", "edge_weights"),
             (1, attacks, {"left": 2.0}, {"left": 1.0}),
         ),
-        BestResponse: (("attack", "value", "undefined"), (attacks[0], 2.0, True)),
+        BestResponse: (("attack", "value"), (attacks[0], 2.0)),
     }
     for kind, (names, values) in built.items():
         value = kind(*values)
@@ -427,5 +437,3 @@ def test_round_records_are_immutable_and_built_positionally():
         for name in (*names, "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
-    assert BestResponse(attacks[0], 2.0).undefined is False
-    assert BestResponse(attacks[0], math.nan, undefined=True).undefined is True

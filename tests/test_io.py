@@ -23,9 +23,9 @@ from reactive_defense import BestResponseAttacker, ReactiveDefender, fixture, ru
 from reactive_defense.attackers import (
     FixedSequenceAttacker,
     MultiAttacker,
-    MultiAttackRound,
     RandomPathAttacker,
 )
+from reactive_defense.cli import main
 from reactive_defense.defenders import FixedDefender, KnownEdgesDefender, MyopicDefender
 from reactive_defense.engine import GameTrace, RoundRecord
 from reactive_defense.generators import random_system
@@ -451,24 +451,38 @@ def test_attack_sequence_round_trip(tmp_path):
     trace = _play()
     paths = write_trace(trace, tmp_path)
     moves = load_attack_sequence(paths["trace"])
-    assert moves == tuple(r.attacks[0] for r in trace.records)
+    assert moves == tuple(r.attacks for r in trace.records)
 
 
-def test_population_trace_round_trip(tmp_path):
+def test_population_trace_round_trip(tmp_path, capsys):
     system = fixture("appendix_b")
-    round_ = MultiAttackRound((Attack(("e1",)), Attack(("e2",)), Attack(("e1",))))
+    populations = {
+        "three": [BestResponseAttacker("roa"), RandomPathAttacker(), RandomPathAttacker()],
+        "one": [RandomPathAttacker()],
+    }
+    for name, members in populations.items():
+        trace = run_game(system, ReactiveDefender(), MultiAttacker(members), rounds=8, seed=5)
+        played = write_trace(trace, tmp_path / name)["trace"]
+        moves = load_attack_sequence(played)
+        # every row reads back as its round's attacks, a lone attack as a one-tuple
+        assert moves == tuple(r.attacks for r in trace.records)
+        assert {len(move) for move in moves} == {len(members)}
+        replayed = tmp_path / f"{name}-replay"
+        argv = ["simulate", "--system", "appendix_b", "--attacker", f"replay:{played}"]
+        assert main([*argv, "-T", "8", "--out", str(replayed)]) == 0
+        assert (replayed / "trace.csv").read_bytes() == played.read_bytes()
+    capsys.readouterr()
+
+    round_ = (Attack(("e1",)), Attack(("e2",)), Attack(("e1",)))
     trace = run_game(
         system,
         FixedDefender(zero_allocation(1.0), {"policy": "noop"}),
         FixedSequenceAttacker([round_]),
         rounds=1,
     )
-    paths = write_trace(trace, tmp_path)
-    text = paths["trace"].read_text()
-    assert "e1|e2|e1" in text
-    (move,) = load_attack_sequence(paths["trace"])
-    assert isinstance(move, MultiAttackRound)
-    assert move == round_
+    paths = write_trace(trace, tmp_path / "fixed")
+    assert "e1|e2|e1" in paths["trace"].read_text()
+    assert load_attack_sequence(paths["trace"]) == (round_,)
     # an all-zero defense concedes infinite cumulative return
     summary = json.loads(paths["summary"].read_text())
     assert math.isinf(summary["totals"]["cumulative_roa"])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conftest import attack_sequence
 from reactive_defense import fixture
-from reactive_defense.attackers import MultiAttackRound
 from reactive_defense.model import (
     FEASIBILITY_RTOL,
     Attack,
@@ -272,14 +271,6 @@ _SLOTTED = {
             (({"e": math.inf}, math.inf), "budget must be positive, got inf"),
         ],
     ),
-    "MultiAttackRound": (
-        MultiAttackRound,
-        ([Attack(["a"]), Attack(["a"])],),
-        ([Attack(["a"])],),
-        "attacks",
-        (Attack(("a",)), Attack(("a",))),
-        [(([],), "a population round needs at least one attack")],
-    ),
     "System": (
         System,
         (["s", "x"], [Edge("e", "s", "x", 1.0)], {"x": 1.0}, "s", 1.0),
@@ -301,7 +292,7 @@ def test_slotted_value_classes(name):
     assert twin is not value and twin == value and not twin != value
     assert cls(*other_args) != value and not cls(*other_args) == value
     # A mapping field makes a value unhashable, as a dict does.
-    if name in ("Attack", "MultiAttackRound"):
+    if name == "Attack":
         assert hash(twin) == hash(value)
     assert repr(value).startswith(f"{name}(") and f"{field}={stored!r}" in repr(value)
     assert copy.copy(value) == value
