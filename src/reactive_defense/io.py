@@ -447,9 +447,11 @@ def load_attack_sequence(path: str | PathLike) -> tuple[tuple[Attack, ...], ...]
             _schema(str(path), f"line {line_number}: expected {len(TRACE_COLUMNS)} fields")
         attacks = []
         for group in row[1].split("|"):
-            steps = tuple(step for step in group.split(";") if step)
-            if not steps:
+            if not group:
                 _schema(str(path), f"line {line_number}: empty attack")
+            steps = group.split(";")
+            if "" in steps:
+                _schema(str(path), f"line {line_number}: empty step in attack {group!r}")
             attacks.append(Attack(steps))
         moves.append(tuple(attacks))
     if not moves:

@@ -13,14 +13,16 @@ response, and best responses price and rank it only.
 
 A price is exactly ``model.cost``: amount / surface summed left to right
 in path order, with no BLAS call, so best responses do not depend on the
-machine.  The walk keeps the edge positions of the frontier's attacks
-only, and the minimax LP builds its path-by-edge rate matrix from them.
+machine.  The frontier's price steps are read off its attacks' paths
+after the walk, and the minimax LP builds its path-by-edge rate matrix
+from them.
 
 Best responses are deterministic: ties in the objective (exact float
 equality) fall to the cheaper attack, then to the earlier enumeration
-index, which is the lexicographically smallest edge-id sequence;
-zero-cost positive-payoff attacks dominate every finite-ratio one, and
-the first of them wins.  This is the package's one module-level numpy
+index, which is the lexicographically smallest edge-id sequence.  The
+return on attack follows ``model.roa``: p / 0 is inf for p > 0, so the
+first zero-cost positive-payoff attack wins, a quotient past the float
+range is inf, and 0 / 0 is NaN, which ranks below every number.  This is the package's one module-level numpy
 import: the learning defender, replays and the lower-bound experiment
 never load it.
 """
@@ -28,7 +30,6 @@ never load it.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -84,14 +85,11 @@ class PathSet(NamedTuple):
         width = len(edge_index)
         attacks: list[Attack] = []
         payoffs: list[float] = []
-        # The frontier's rows, path lengths and edge positions in path
-        # order, concatenated.  All unboxed to keep the peak small.
-        frontier, front_lengths, front_positions = array("q"), array("q"), array("q")
+        frontier: list[int] = []
         # The row of each attack's extension by the edge at one position,
         # keyed row * width + position; the empty walk is row -1.
         extension: dict[int, int] = {}
         prefix: list[str] = []
-        prefix_positions: list[int] = []
         used: set[str] = set()
         # Per walk position: the vertex reached, the row of the attack that
         # ends there, its payoff (summed left to right over first visits, as
@@ -112,7 +110,6 @@ class PathSet(NamedTuple):
                 stack.pop()
                 if prefix:
                     used.discard(prefix.pop())
-                    prefix_positions.pop()
                     vertex, *_, before = walk.pop()
                     if before is None:
                         del latest[vertex]
@@ -133,12 +130,9 @@ class PathSet(NamedTuple):
             row = len(attacks)
             extension[parent * width + position] = row
             prefix.append(e.id)
-            prefix_positions.append(position)
             used.add(e.id)
             if not (parent >= 0 and pay == parent_pay) and all(payoffs[c] != pay for c in cuts):
                 frontier.append(row)
-                front_lengths.append(len(prefix))
-                front_positions.extend(prefix_positions)
             attacks.append(Attack(prefix))
             payoffs.append(pay)
             walk.append((e.dst, row, pay, cuts, latest.get(e.dst)))
@@ -150,10 +144,12 @@ class PathSet(NamedTuple):
         rows = np.array(frontier, dtype=np.intp)
         # The frontier's steps, one row per edge position, in C order: each
         # step's prices are then one contiguous take.
-        front_sizes = np.frombuffer(front_lengths, dtype=np.int64)
-        steps = np.full((int(front_sizes.max()), len(rows)), width, dtype=np.intp)
-        inside = np.arange(len(steps)) < front_sizes[:, None]
-        steps.T[inside] = np.frombuffer(front_positions, dtype=np.int64)
+        front = [attacks[row].path for row in frontier]
+        lengths = np.array([len(path) for path in front])
+        steps = np.full((int(lengths.max()), len(rows)), width, dtype=np.intp)
+        steps.T[np.arange(len(steps)) < lengths[:, None]] = [
+            edge_index[eid] for path in front for eid in path
+        ]
         return cls(
             system=system,
             attacks=tuple(attacks),
@@ -211,19 +207,12 @@ def select_best_response(
     pays = front.payoffs
     if objective == "profit":
         values = pays - costs
-        i = _first_best(values, costs)
-        return BestResponse(pathset.attacks[front.rows[i]], float(values[i]))
-    if costs.min() > 0:
-        finite = pays / costs
     else:
-        free = (pays > 0) & (costs == 0.0)
-        i = int(free.argmax())
-        if free[i]:
-            return BestResponse(pathset.attacks[front.rows[i]], math.inf)
-        finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
-    i = _first_best(finite, costs)
-    if pays[i] > 0:
-        return BestResponse(pathset.attacks[front.rows[i]], float(finite[i]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = pays / costs
+    i = _first_best(values, costs)
+    if objective == "profit" or pays[i] > 0:
+        return BestResponse(pathset.attacks[front.rows[i]], float(values[i]))
     # Nothing has positive payoff; fall back to a maximum-payoff attack
     # (all zero here); the ratio is undefined.
     i = _first_best(pays, costs)

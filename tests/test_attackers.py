@@ -26,6 +26,9 @@ from reactive_defense.model import (
     DefenseAllocation,
     System,
     cost,
+    payoff,
+    profit,
+    roa,
     validate_system,
     zero_allocation,
 )
@@ -112,7 +115,8 @@ def _lexsort_best_response(
         i = int(np.lexsort((lex_rank, costs, -values))[0])
         return BestResponse(pathset.attacks[i], float(values[i]))
     free = (pays > 0) & (costs == 0.0)
-    finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
+    with np.errstate(over="ignore"):
+        finite = np.divide(pays, costs, out=np.zeros_like(pays), where=costs > 0)
     i = int(np.lexsort((lex_rank, costs, -finite, ~free))[0])
     if pays[i] > 0:
         return BestResponse(pathset.attacks[i], math.inf if free[i] else float(finite[i]))
@@ -175,15 +179,28 @@ def _prefix_prices(pathset: PathSet, allocation: DefenseAllocation) -> np.ndarra
     return np.array([prices[a.path] for a in pathset.attacks])
 
 
+def _model_value(
+    system: System, attack: Attack, allocation: DefenseAllocation, objective: str
+) -> float:
+    """The model's value of ``attack``: ``model.profit``, or ``model.roa``
+    when the attack pays and the undefined marker NaN when it does not."""
+    if objective == "profit":
+        return profit(system, attack, allocation)
+    return roa(system, attack, allocation) if payoff(system, attack) > 0 else math.nan
+
+
 def _assert_same_pick(pathset, allocation, *objectives) -> BestResponse:
     """The frontier pick equals the oracle's over every attack priced by
-    ``model.cost``, for each objective; returns the last pick."""
+    ``model.cost``, for each objective, and its value is the model's value
+    of the attack bit for bit; returns the last pick."""
     costs = _prefix_prices(pathset, allocation)
     for objective in objectives:
         want = _lexsort_best_response(pathset, costs, objective)
         got = select_best_response(pathset, allocation, objective)
         assert got.attack == want.attack
         assert got.value == want.value or (math.isnan(got.value) and math.isnan(want.value))
+        model_value = _model_value(pathset.system, got.attack, allocation, objective)
+        assert got.value.hex() == model_value.hex()
     return got
 
 
@@ -205,6 +222,12 @@ def test_selection_tie_branches_match_lexsort_order():
     fig2 = PathSet.enumerate(fixture("fig2"))
     # free: every attack costs nothing, and the first free one wins
     pick = _assert_same_pick(fig2, zero_allocation(10.0), "roa")
+    assert (pick.attack.path, pick.value) == (("left",), math.inf)
+
+    # overflow: subnormal prices make both returns inf, as model.roa's
+    # float division does, with no warning, and the cheaper attack wins
+    tiny = DefenseAllocation({"left": 1e-320, "right": 1e-320}, 10.0)
+    pick = _assert_same_pick(fig2, tiny, "roa")
     assert (pick.attack.path, pick.value) == (("left",), math.inf)
 
     # undefined: nothing pays, so the cheapest zero-payoff attack is picked at NaN

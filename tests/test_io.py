@@ -559,6 +559,14 @@ def test_load_attack_sequence_schema_errors(tmp_path):
     with pytest.raises(FileFormatError, match="empty attack"):
         load_attack_sequence(empty_attack)
 
+    for attack in ("left;;right", ";left", "left;"):
+        empty_step = tmp_path / "s.csv"
+        empty_step.write_text(f"t,attack,cost,payoff,revealed,beta\n1,{attack},0.0,0.0,,\n")
+        message = f"line 2: empty step in attack '{attack}'"
+        with pytest.raises(FileFormatError, match=message) as err:
+            load_attack_sequence(empty_step)
+        assert err.value.code == "E-SCHEMA"
+
     no_rounds = tmp_path / "n.csv"
     no_rounds.write_text("t,attack,cost,payoff,revealed,beta\n")
     with pytest.raises(FileFormatError, match="no rounds"):

@@ -242,6 +242,14 @@ def test_frontier_drops_exactly_the_dominated_attacks():
         rows = paths.frontier.rows
         assert rows.tolist() == _frontier_by_all_pairs(paths)
         assert paths.frontier.payoffs.tobytes() == paths.payoffs[rows].tobytes()
+        # column i: the edge positions of attack rows[i] in path order, then
+        # the zero-price slot
+        depth, width = len(paths.frontier.steps), len(paths.edge_index)
+        assert paths.frontier.steps.T.tolist() == [
+            [paths.edge_index[eid] for eid in paths.attacks[row].path]
+            + [width] * (depth - len(paths.attacks[row]))
+            for row in rows
+        ]
 
 
 def test_frontier_of_the_baseline_system():
