@@ -22,11 +22,20 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from array import array
 from collections import deque
 from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, Any, ClassVar, NamedTuple
 
-from .model import OBJECTIVES, DefenseAllocation, System, SystemView, ordered_sum, zero_allocation
+from .model import (
+    OBJECTIVES,
+    DefenseAllocation,
+    PackedAmounts,
+    System,
+    SystemView,
+    ordered_sum,
+    zero_allocation,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,7 +76,10 @@ class HedgeLearner:
     """Mutable Hedge state.  ``index`` maps the domain's edge ids, in
     reveal order, to positions in ``surfaces`` and ``scores`` (cumulative
     exponents, 0 on reveal); ``fixed_beta`` pins the rate, and None
-    anneals it with ``beta_schedule`` over the domain size."""
+    anneals it with ``beta_schedule`` over the domain size.  A reveal
+    replaces ``index`` with a new dict and never changes the old one, so
+    the ``PackedAmounts`` of every allocation committed between two
+    reveals share one index, and an earlier allocation keeps its own."""
 
     def __init__(
         self,
@@ -86,10 +98,12 @@ class HedgeLearner:
 
     def _reveal(self, surfaces: Mapping[str, float]) -> None:
         # Callers pass only edges that are new to the domain.
+        index = dict(self.index)
         for eid, w in surfaces.items():
-            self.index[eid] = len(self.scores)
+            index[eid] = len(self.scores)
             self.surfaces.append(w)
             self.scores.append(0.0)
+        self.index = index
         if self.scores:
             self._log_size = math.log(len(self.scores))
 
@@ -473,7 +487,9 @@ class ReactiveDefender(Defender):
 
     def _hold(self, shares: list[float]) -> None:
         learner = self._learner
-        self.allocation = DefenseAllocation(dict(zip(learner.index, shares)), learner.budget)
+        self.allocation = DefenseAllocation(
+            PackedAmounts(learner.index, array("d", shares)), learner.budget
+        )
         self.last_beta = learner.beta
 
     def describe(self) -> dict[str, Any]:

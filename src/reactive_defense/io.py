@@ -387,7 +387,7 @@ def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:
     with _create(alloc_path) as fh:
         sep = "{\n"
         for r in trace.records:
-            body = _ROUND_ENCODER.encode(dict(r.allocation.alloc))[1:-1]
+            body = _ROUND_ENCODER.encode(dict(r.allocation.alloc.items()))[1:-1]
             amounts = f"{{\n    {body}\n  }}" if body else "{}"
             fh.write(f'{sep}  "{r.round_index}": {amounts}')
             sep = ",\n"

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from array import array
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -216,24 +217,94 @@ class Attack(Immutable):
         return len(self.path)
 
 
+class PackedAmounts(Mapping):
+    """Read-only mapping of edge ids to amounts, stored packed: ``index``
+    maps each edge id to its position in ``amounts``, an ``array('d')``,
+    and lists the ids in position order.  Mappings may share one index,
+    so neither field may change once a mapping is built on it: the Hedge
+    learner replaces its index on a reveal instead of extending it.
+    ``keys()`` is the index's own view, and ``items()`` zips the two
+    fields at C speed.  Unhashable, as a ``dict`` is."""
+
+    __slots__ = ("index", "amounts")
+
+    def __init__(self, index: dict[str, int], amounts: array):
+        if not (type(amounts) is array and amounts.typecode == "d"):
+            raise TypeError("amounts must be an array('d')")
+        if len(index) != len(amounts):
+            raise ValueError(f"{len(index)} edge ids for {len(amounts)} amounts")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "amounts", amounts)
+
+    def __getitem__(self, unit: str) -> float:
+        return self.amounts[self.index[unit]]
+
+    def get(self, unit: str, default=None):
+        position = self.index.get(unit)
+        return default if position is None else self.amounts[position]
+
+    def __contains__(self, unit) -> bool:
+        return unit in self.index
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.amounts)
+
+    def keys(self):
+        return self.index.keys()
+
+    def items(self) -> ItemsView:
+        return _PackedItems(self)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({dict(self.items())!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.index, self.amounts)
+
+
+class _PackedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        packed = self._mapping
+        return zip(packed.index, packed.amounts)
+
+
 class DefenseAllocation(Immutable):
     """Nonnegative split of a finite positive budget across edges.
 
     Edges absent from ``alloc`` receive zero.  The total may exceed the
     budget only by ``FEASIBILITY_RTOL * budget``; the all-zero allocation
-    is always feasible (a defender need not spend anything).
+    is always feasible (a defender need not spend anything).  ``alloc``
+    is a ``PackedAmounts``: a packed mapping is adopted as it is, so
+    consecutive learner allocations share one edge index, and any other
+    mapping is packed once, its amounts stored as floats.
     """
 
     __slots__ = ("alloc", "budget")
 
     def __init__(self, alloc: Mapping[str, float], budget: float):
-        amounts = dict(alloc)
+        if type(alloc) is not PackedAmounts:
+            amounts = dict(alloc)
+            alloc = PackedAmounts(
+                {unit: position for position, unit in enumerate(amounts)},
+                array("d", amounts.values()),
+            )
         # Finite too: an infinite budget admits infinite amounts, which
         # price as 0 * inf = NaN.
         if not 0 < budget < math.inf:
             raise ValueError(f"budget must be positive, got {budget}")
         total = 0.0
-        for unit, amount in amounts.items():
+        for unit, amount in zip(alloc.index, alloc.amounts):
             if not amount >= 0:
                 raise ValueError(f"negative or NaN allocation {amount} on {unit!r}")
             total += amount
@@ -241,14 +312,14 @@ class DefenseAllocation(Immutable):
             raise ValueError(
                 f"allocation total {total} exceeds budget {budget}"
             )
-        object.__setattr__(self, "alloc", MappingProxyType(amounts))
+        object.__setattr__(self, "alloc", alloc)
         object.__setattr__(self, "budget", budget)
 
     def get(self, unit: str) -> float:
         return self.alloc.get(unit, 0.0)
 
     def total(self) -> float:
-        return ordered_sum(self.alloc.values())
+        return ordered_sum(self.alloc.amounts)
 
     def support(self) -> tuple[str, ...]:
         """Units with strictly positive allocation, in insertion order."""
@@ -383,14 +454,18 @@ def cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float
     return steps_cost(allocation.alloc, [(e, system.surface(e)) for e in attack.path])
 
 
-def steps_cost(amounts: Mapping[str, float], steps: Iterable[tuple[str, float]]) -> float:
+def steps_cost(amounts: PackedAmounts, steps: Iterable[tuple[str, float]]) -> float:
     """Price of a path given as ``(edge id, surface)`` steps: amount over
-    surface per step (0 for an edge without an amount), added left to
-    right from 0.0 as ``ordered_sum`` does."""
-    amount = amounts.get
+    surface per step, added left to right from 0.0 as ``ordered_sum``
+    does.  An edge without an amount adds nothing: a sum started at
+    +0.0 is never -0.0, so adding 0.0 would leave its bits unchanged."""
+    position = amounts.index.get
+    values = amounts.amounts
     acc = 0.0
     for eid, surface in steps:
-        acc += amount(eid, 0.0) / surface
+        j = position(eid)
+        if j is not None:
+            acc += values[j] / surface
     return acc
 
 

@@ -16,6 +16,7 @@ from reactive_defense import (
     run_game,
 )
 from reactive_defense.analysis import (
+    _report,
     exact_two_edge_gap,
     game_value,
     lower_bound_experiment,
@@ -98,6 +99,14 @@ def test_profit_regret_requires_reactive_trace():
     trace = run_game(system, uniform_defender(system), RandomPathAttacker(), rounds=5)
     with pytest.raises(ValueError, match="reactive-hidden"):
         profit_regret(trace)
+
+
+def test_reports_over_their_ceiling_by_1e_6_are_not_satisfied():
+    # The slack absorbs rounding only: a visible excess fails the check.
+    for ceiling in (0.5, 2.0, 40.0):
+        assert _report("profit_regret", ceiling, ceiling, {}).satisfied
+        over = _report("profit_regret", ceiling + 1e-6, ceiling, {})
+        assert over.measured > over.bound_rhs and not over.satisfied
 
 
 def test_sub_unit_surfaces_trigger_warning():

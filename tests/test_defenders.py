@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,67 @@ def test_learners_neither_alias_nor_mutate_surface_mappings():
         defender.observe(
             RoundFeedback(2, feedback.attacks, {eids[0]: surfaces_of[eids[0]]}, {eids[0]: 1.0})
         )
+
+
+class _SnapshotDefender(ReactiveDefender):
+    """Records each allocation's keys and amounts as it is committed."""
+
+    def start(self, view, horizon):
+        self.snapshots = []
+        super().start(view, horizon)
+
+    def commit(self, round_index):
+        allocation = super().commit(round_index)
+        self.snapshots.append((list(allocation.alloc), list(allocation.alloc.values())))
+        return allocation
+
+
+def test_reactive_allocations_share_an_index_until_a_reveal():
+    system = random_system(random.Random(26), max_extra_edges=12, max_vertices=8)
+    defender = _SnapshotDefender()
+    trace = run_game(system, defender, RandomPathAttacker(), 60, seed=3)
+    indexes = [r.allocation.alloc.index for r in trace.records]
+    revealed = [bool(r.newly_revealed) for r in trace.records]
+    assert 2 < sum(revealed) < 50
+    # Round t + 1's allocation follows round t's feedback: a new index
+    # exactly when that round revealed an edge.
+    assert [later is not earlier for earlier, later in zip(indexes, indexes[1:])] == revealed[:-1]
+    # Later reveals leave every committed allocation as it was committed.
+    played = [(list(r.allocation.alloc), list(r.allocation.alloc.values())) for r in trace.records]
+    assert played == defender.snapshots
+
+
+def test_known_edges_allocations_share_one_index_for_the_game():
+    system = random_system(random.Random(26), max_extra_edges=12, max_vertices=8)
+    trace = run_game(system, KnownEdgesDefender(), RandomPathAttacker(), 60, seed=3)
+    index = trace.records[0].allocation.alloc.index
+    assert list(index) == list(system.edge_ids)
+    assert all(r.allocation.alloc.index is index for r in trace.records)
+
+
+def test_known_edges_allocations_hold_under_1kb_each():
+    # 2000 allocations over the 77 edges of the wide-game benchmark system.
+    # tracemalloc counts bytes, so the figure is the same on every run.
+    # Packed, one holds 77 doubles in one array and two small objects
+    # (about 0.8 KB); a dict with a float object per edge held about 3.5 KB.
+    system = random_system(random.Random(29), max_extra_edges=80, max_vertices=40)
+    assert len(system.edges) == 77
+    edge = system.start_edges()[0]
+    feedback = RoundFeedback(1, (Attack((edge.id,)),), {edge.id: edge.surface}, {edge.id: 1.0})
+    defender = KnownEdgesDefender()
+    defender.start(system, 2000)
+    allocations = [None] * 2000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(2000):
+            allocations[t] = defender.commit(t + 1)
+            defender.observe(feedback)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len({id(a) for a in allocations}) == 2000
+    assert held / 2000 < 1024
 
 
 # ---------------------------------------------------------------------------

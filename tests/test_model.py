@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import copy
 import math
+import pickle
 import random
+from array import array
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from reactive_defense.model import (
     DefenseAllocation,
     Edge,
     InvalidAttackError,
+    PackedAmounts,
     System,
     ValidationError,
     attack_vertices,
@@ -193,6 +195,68 @@ def test_allocation_feasibility():
     assert zero_allocation(3.0).get("anything") == 0.0
 
 
+def test_packed_amounts_mapping_contract():
+    plain = {"e": 0.5, "f": 0.25}
+    packed = DefenseAllocation(plain, budget=1.0).alloc
+    assert packed == plain and plain == packed
+    assert not packed != plain and not plain != packed
+    assert packed != {"e": 0.5} and {"e": 0.5} != packed
+    assert packed != {"e": 0.5, "f": 0.5} and {"e": 0.5, "f": 0.5} != packed
+    assert packed != [("e", 0.5), ("f", 0.25)]
+    for view, listed in [
+        (packed.keys(), ["e", "f"]),
+        (packed.items(), [("e", 0.5), ("f", 0.25)]),
+        (packed.values(), [0.5, 0.25]),
+    ]:
+        assert len(view) == 2
+        assert list(view) == listed and list(view) == listed
+    assert ("e", 0.5) in packed.items() and ("e", 0.25) not in packed.items()
+    assert packed.keys() <= {"e": 0, "f": 0, "g": 0}.keys()
+    assert packed["e"] == 0.5 and "f" in packed and "g" not in packed
+    with pytest.raises(KeyError):
+        packed["g"]
+    assert packed.get("g") is None and packed.get("g", 0.0) == 0.0
+    assert packed.get("f", 0.0) == 0.25
+    assert {**packed} == plain and dict(packed) == plain
+    for twin in (copy.copy(packed), copy.deepcopy(packed), pickle.loads(pickle.dumps(packed))):
+        assert type(twin) is PackedAmounts and twin == plain
+        assert list(twin.items()) == list(packed.items())
+    allocation = DefenseAllocation(packed, budget=1.0)
+    assert pickle.loads(pickle.dumps(allocation)) == allocation
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(packed)
+    with pytest.raises(TypeError):
+        packed["e"] = 1.0
+    with pytest.raises(AttributeError, match="cannot assign to field 'amounts'"):
+        packed.amounts = array("d", [1.0, 1.0])
+    with pytest.raises(AttributeError):
+        packed.extra = 1
+
+
+def test_packed_amounts_store_floats_and_are_adopted():
+    # An int amount from a library caller reads back as a float (CLI
+    # inputs are floats already); messages print the stored float.
+    allocation = DefenseAllocation({"e": 1, "f": 0}, budget=2)
+    assert allocation.alloc == {"e": 1.0, "f": 0.0}
+    assert [type(a) for a in allocation.alloc.values()] == [float, float]
+    assert type(allocation.get("e")) is float and allocation.support() == ("e",)
+    with pytest.raises(ValueError) as caught:
+        DefenseAllocation({"e": -1}, budget=1.0)
+    assert str(caught.value) == "negative or NaN allocation -1.0 on 'e'"
+    # A packed mapping is adopted as it is and still checked.
+    packed = PackedAmounts({"e": 0, "f": 1}, array("d", [0.5, 0.25]))
+    assert DefenseAllocation(packed, budget=1.0).alloc is packed
+    with pytest.raises(ValueError) as caught:
+        DefenseAllocation(PackedAmounts({"e": 0}, array("d", [-0.25])), budget=1.0)
+    assert str(caught.value) == "negative or NaN allocation -0.25 on 'e'"
+    with pytest.raises(ValueError, match="exceeds budget"):
+        DefenseAllocation(packed, budget=0.5)
+    with pytest.raises(ValueError, match="2 edge ids for 1 amounts"):
+        PackedAmounts({"e": 0, "f": 1}, array("d", [0.5]))
+    with pytest.raises(TypeError, match=r"array\('d'\)"):
+        PackedAmounts({"e": 0}, [0.5])
+
+
 def test_validation_codes():
     cases = {
         "E-BUDGET": System.build(edges=[("e", "s", "a", 1.0)], budget=0.0),
@@ -262,7 +326,7 @@ _SLOTTED = {
         ({"e": 0.5}, 1.0),
         ({"e": 0.5}, 2.0),
         "alloc",
-        MappingProxyType({"e": 0.5}),
+        PackedAmounts({"e": 0}, array("d", [0.5])),
         [
             (({"e": -0.25}, 1.0), "negative or NaN allocation -0.25 on 'e'"),
             (({"e": math.nan}, 1.0), "negative or NaN allocation nan on 'e'"),
