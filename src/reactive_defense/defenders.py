@@ -76,10 +76,14 @@ class HedgeLearner:
     """Mutable Hedge state.  ``index`` maps the domain's edge ids, in
     reveal order, to positions in ``surfaces`` and ``scores`` (cumulative
     exponents, 0 on reveal); ``fixed_beta`` pins the rate, and None
-    anneals it with ``beta_schedule`` over the domain size.  A reveal
-    replaces ``index`` with a new dict and never changes the old one, so
-    the ``PackedAmounts`` of every allocation committed between two
-    reveals share one index, and an earlier allocation keeps its own."""
+    anneals it with ``beta_schedule`` over the domain size.  An edge
+    joins the domain only through a reveal, from the constructor's
+    ``surfaces`` or from a round's feedback, and a reveal refuses any
+    surface that is not positive and finite before anything changes.  A
+    reveal replaces ``index`` with a new dict and never changes the old
+    one, so the ``PackedAmounts`` of every allocation committed between
+    two reveals share one index, and an earlier allocation keeps its
+    own."""
 
     def __init__(
         self,
@@ -97,7 +101,11 @@ class HedgeLearner:
         self._reveal(surfaces or {})
 
     def _reveal(self, surfaces: Mapping[str, float]) -> None:
-        # Callers pass only edges that are new to the domain.
+        # Callers pass only edges that are new to the domain.  A negative
+        # surface would reverse the update; 0, NaN or inf never prices.
+        for eid, w in surfaces.items():
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"surface of {eid!r} must be positive, got {w}")
         index = dict(self.index)
         for eid, w in surfaces.items():
             index[eid] = len(self.scores)
@@ -169,8 +177,8 @@ def reactive_hidden_step(
 
     ``surfaces`` must cover the attacked edges; edges outside the domain
     join it.  Each attacked edge's usage must be finite and nonnegative,
-    and its score drops by that usage over surface.  The input is
-    checked before the learner changes.
+    and its score drops by that usage over surface.  The whole round is
+    checked before the learner changes, new surfaces by its reveal.
     """
     if not edge_weights:
         raise ValueError("round contained no attacked edges")
@@ -185,14 +193,15 @@ def reactive_hidden_step(
         w = surfaces[eid]
         position = learner.index.get(eid)
         if position is None:
-            if not (math.isfinite(w) and w > 0):
-                raise ValueError(f"surface of {eid!r} must be positive, got {w}")
             revealed[eid] = w
         elif w != (known := learner.surfaces[position]):
             raise ValueError(f"edge {eid!r} re-revealed with surface {w}, previously {known}")
-        column.append((eid, -weight / w))
+        else:
+            column.append((eid, -weight / w))
     if revealed:
+        # a new edge's surface is divided by only once the reveal checked it
         learner._reveal(revealed)
+        column.extend((eid, -edge_weights[eid] / w) for eid, w in revealed.items())
     # every edge is checked and in the domain now, so skip update's check
     learner._add(column)
     return learner.shares()

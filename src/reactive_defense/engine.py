@@ -8,7 +8,7 @@ population round of several (``attackers.round_attacks``).  Reactive
 defenders never see the system itself: they start knowing only the start
 vertex and the budget, learn edges from each round's feedback, and the
 engine rejects any reactive allocation that strays outside the revealed
-set.
+set.  Every committed allocation must split the system's own budget.
 
 Each distinct attack path gets one per-game entry the first time it is
 played: the path is validated, and the entry holds its payoff and its
@@ -122,7 +122,8 @@ def run_game(
 
     The defender commits strictly before the attacker moves and receives
     no attack information for the current round; randomness flows only
-    through the seeded generator handed to the attacker.
+    through the seeded generator handed to the attacker.  An allocation
+    whose ``budget`` is not the system's is refused, naming the round.
     """
     if rounds < 1:
         raise ValueError(f"need at least one round, got {rounds}")
@@ -138,6 +139,11 @@ def run_game(
     entries: dict[tuple[str, ...], tuple[float, tuple[tuple[str, float], ...]]] = {}
     for t in range(1, rounds + 1):
         allocation = defender.commit(t)
+        if allocation.budget != system.budget:
+            raise ValueError(
+                f"round {t}: allocation for budget {allocation.budget}, "
+                f"but the system's budget is {system.budget}"
+            )
         beta = defender.last_beta
         amounts = allocation.alloc
         if defender.reactive and not amounts.keys() <= revealed.keys():

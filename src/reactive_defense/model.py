@@ -84,8 +84,11 @@ class Immutable:
     construction.  The public names in ``__slots__`` are the fields: they
     give ``==``, the hash and the repr, and ``__init__`` sets them once
     with ``object.__setattr__``.  Underscored slots hold indexes derived
-    from the fields.  Any later assignment raises ``AttributeError``, so
-    ``copy`` and ``pickle`` rebuild a value through its constructor."""
+    from the fields.  Any later assignment or deletion raises
+    ``AttributeError``, so ``copy`` and ``pickle`` rebuild a value
+    through its constructor.  It is the package's one guard base: no
+    other class defines ``__setattr__``, ``__delattr__`` or
+    ``__reduce__``, and ``PackedAmounts`` takes all three from here."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -217,14 +220,19 @@ class Attack(Immutable):
         return len(self.path)
 
 
-class PackedAmounts(Mapping):
+class PackedAmounts(Mapping, Immutable):
     """Read-only mapping of edge ids to amounts, stored packed: ``index``
     maps each edge id to its position in ``amounts``, an ``array('d')``,
-    and lists the ids in position order.  Mappings may share one index,
+    and its values must be 0 to n - 1 in key order, so that reading by
+    key and reading in key order agree.  Mappings may share one index,
     so neither field may change once a mapping is built on it: the Hedge
     learner replaces its index on a reveal instead of extending it.
     ``keys()`` is the index's own view, and ``items()`` zips the two
-    fields at C speed.  Unhashable, as a ``dict`` is."""
+    fields at C speed.  ``Mapping`` comes first in the bases, so ``==``
+    is a mapping's (a ``PackedAmounts`` equals a ``dict`` with the same
+    items) and the value is unhashable, as a ``dict`` is; ``Immutable``
+    refuses assignment, copies and pickles through the constructor and
+    prints the two fields."""
 
     __slots__ = ("index", "amounts")
 
@@ -233,18 +241,13 @@ class PackedAmounts(Mapping):
             raise TypeError("amounts must be an array('d')")
         if len(index) != len(amounts):
             raise ValueError(f"{len(index)} edge ids for {len(amounts)} amounts")
+        if list(index.values()) != list(range(len(amounts))):
+            raise ValueError("edge index positions must be 0 to n - 1 in key order")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "amounts", amounts)
 
     def __getitem__(self, unit: str) -> float:
         return self.amounts[self.index[unit]]
-
-    def get(self, unit: str, default=None):
-        position = self.index.get(unit)
-        return default if position is None else self.amounts[position]
-
-    def __contains__(self, unit) -> bool:
-        return unit in self.index
 
     def __iter__(self):
         return iter(self.index)
@@ -257,18 +260,6 @@ class PackedAmounts(Mapping):
 
     def items(self) -> ItemsView:
         return _PackedItems(self)
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}({dict(self.items())!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.index, self.amounts)
 
 
 class _PackedItems(ItemsView):

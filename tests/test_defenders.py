@@ -222,6 +222,24 @@ def _known_learner(system, beta: float) -> HedgeLearner:
     return HedgeLearner(system.budget, surfaces, fixed_beta=beta)
 
 
+def test_learner_checks_every_surface_where_an_edge_joins_the_domain():
+    # A negative surface would reverse the update, 0 would divide by zero,
+    # NaN would fail a later round's re-reveal check and inf never learns:
+    # each is refused on reveal, from the constructor and from a round.
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError) as caught:
+            HedgeLearner(1.0, {"e": bad, "f": 1.0})
+        assert str(caught.value) == f"surface of 'e' must be positive, got {bad}"
+        learner = HedgeLearner(budget=1.0)
+        reactive_hidden_step(learner, {"e1": 1.0}, {"e1": 1.0})
+        before = dict(learner.index), list(learner.surfaces), list(learner.scores)
+        with pytest.raises(ValueError) as caught:
+            reactive_hidden_step(learner, {"e1": 1.0, "e2": 1.0}, {"e1": 1.0, "e2": bad})
+        assert str(caught.value) == f"surface of 'e2' must be positive, got {bad}"
+        assert (dict(learner.index), learner.surfaces, learner.scores) == before
+        assert learner.round_index == 1
+
+
 def test_known_start_uniform():
     system = fixture("fig3_n4")
     defender = KnownEdgesDefender()

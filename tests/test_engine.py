@@ -332,6 +332,22 @@ def test_engine_rejects_bad_rounds_and_systems():
         run_game(broken, uniform_defender(broken), BestResponseAttacker(), rounds=1)
 
 
+def test_engine_holds_every_allocation_to_the_system_budget():
+    # A DefenseAllocation checks its total only against its own budget,
+    # so the engine checks that budget against the system's every round.
+    system = fixture("fig2")
+    overspent = FixedDefender(DefenseAllocation({"left": 1000.0}, 1000.0), {"policy": "fixed"})
+    with pytest.raises(ValueError) as raised:
+        run_game(system, overspent, BestResponseAttacker("roa"), rounds=3)
+    assert str(raised.value) == "round 1: allocation for budget 1000.0, but the system's budget is 10.0"
+    held = DefenseAllocation({"left": 1.0}, system.budget)
+    late = _Scripted([held, held, DefenseAllocation({"left": 1.0}, 5.0)])
+    with pytest.raises(ValueError, match=r"^round 3: allocation for budget 5\.0,"):
+        run_game(system, late, BestResponseAttacker("roa"), rounds=3)
+    trace = run_game(system, _Scripted([held] * 3), BestResponseAttacker("roa"), rounds=3)
+    assert [r.allocation for r in trace.records] == [held] * 3
+
+
 def test_engine_rejects_invalid_attacks():
     system = fixture("fig2")
 

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses; no package
 module calls the builtin ``sum`` or reaches BLAS or LAPACK; numpy and
 PyYAML load only where arrays or YAML are used, no package module imports
-``dataclasses`` or ``statistics``, and no per-round function runs an
-import statement."""
+``dataclasses`` or ``statistics``, no per-round function runs an
+import statement, and only ``model.Immutable`` guards its attributes or
+defines how it pickles."""
 
 from __future__ import annotations
 
@@ -301,3 +302,55 @@ def test_no_dataclasses_or_statistics_in_src():
         for line, module in module_imports(path.read_text(encoding="utf-8"), UNUSED_STDLIB, str(path)):
             found.append(f"{path.relative_to(ROOT)}:{line}: import of {module}")
     assert not found, "\n".join(found)
+
+
+# Methods through which a class refuses assignment or rebuilds itself on
+# copy and pickle; ``model.Immutable`` is the one class that defines them.
+GUARD_METHODS = ("__setattr__", "__delattr__", "__reduce__")
+
+
+def guard_definitions(source: str, filename: str = "<source>") -> list[tuple[int, str]]:
+    """(line, ``Class.method``) for every ``GUARD_METHODS`` method defined
+    or assigned in a class body other than ``Immutable``'s."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.ClassDef) or node.name == "Immutable":
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found.extend((item.lineno, f"{node.name}.{name}") for name in names if name in GUARD_METHODS)
+    return sorted(found)
+
+
+def test_guard_scan_on_known_cases():
+    source = (
+        "class Immutable:\n"
+        "    def __setattr__(self, name, value): ...\n"
+        "    def __reduce__(self): ...\n"
+        "class Packed(Mapping, Immutable):\n"
+        "    def __setattr__(self, name, value): ...\n"
+        "    def __getattr__(self, name): ...\n"
+        "    __delattr__ = Immutable.__setattr__\n"
+        "def f():\n"
+        "    class Local:\n"
+        "        def __reduce__(self): ...\n"
+        "    def __setattr__(self, name, value): ...\n"
+    )
+    assert guard_definitions(source) == [
+        (5, "Packed.__setattr__"), (7, "Packed.__delattr__"), (10, "Local.__reduce__")
+    ]
+
+
+def test_immutable_is_the_one_guard_base_in_src():
+    # One class refuses assignment and pickles through its constructor,
+    # so a value class gets those rules by subclassing it, not by copy.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line, name in guard_definitions(path.read_text(encoding="utf-8"), str(path)):
+            found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert not found, "guard methods outside model.Immutable:\n" + "\n".join(found)

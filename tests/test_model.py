@@ -20,6 +20,7 @@ from reactive_defense.model import (
     Attack,
     DefenseAllocation,
     Edge,
+    Immutable,
     InvalidAttackError,
     PackedAmounts,
     System,
@@ -255,6 +256,30 @@ def test_packed_amounts_store_floats_and_are_adopted():
         PackedAmounts({"e": 0, "f": 1}, array("d", [0.5]))
     with pytest.raises(TypeError, match=r"array\('d'\)"):
         PackedAmounts({"e": 0}, [0.5])
+
+
+def test_packed_amounts_refuse_an_index_out_of_key_order():
+    # Amounts are read by position and listed in key order; an index whose
+    # positions are not 0 to n - 1 in key order would make the two disagree.
+    for index in ({"right": 1, "left": 0}, {"e": 5, "f": 7}, {"e": 0, "f": 0}):
+        with pytest.raises(ValueError) as caught:
+            PackedAmounts(index, array("d", [4.0, 6.0]))
+        assert str(caught.value) == "edge index positions must be 0 to n - 1 in key order"
+    with pytest.raises(ValueError) as caught:
+        PackedAmounts({"e": 5, "f": 7}, array("d", [4.0]))
+    assert str(caught.value) == "2 edge ids for 1 amounts"
+    packed = PackedAmounts({"left": 0, "right": 1}, array("d", [4.0, 6.0]))
+    assert packed["left"] == 4.0 and list(packed.items()) == [("left", 4.0), ("right", 6.0)]
+
+
+def test_packed_amounts_take_their_guards_from_immutable():
+    packed = PackedAmounts({"e": 0, "f": 1}, array("d", [0.5, 0.25]))
+    assert isinstance(packed, Immutable) and not hasattr(packed, "__dict__")
+    assert repr(packed) == (
+        "PackedAmounts(index={'e': 0, 'f': 1}, amounts=array('d', [0.5, 0.25]))"
+    )
+    with pytest.raises(AttributeError, match="cannot delete field 'index'"):
+        del packed.index
 
 
 def test_validation_codes():
