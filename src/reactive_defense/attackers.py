@@ -5,9 +5,9 @@ round (worst-case knowledge), except the oblivious responder, which only
 knows a fixed subset of edges.  Best responders rank the attacks of a
 ``paths.PathSet`` with ``paths.select_best_response``.  The policies that
 enumerate attacks import ``paths``, and with it numpy, in ``start``: a
-game without them never loads numpy.  A move is one ``Attack`` or a
-population round, a non-empty tuple of attacks; ``round_attacks`` turns
-either into the round's attacks.
+game without them never loads numpy.  An attack is its tuple of edge
+ids, and a move is one ``Attack`` or a population round, a non-empty
+tuple of attacks; ``round_attacks`` turns either into the round's attacks.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from .model import (
     System,
     SystemView,
     ordered_sum,
+    usable_surface,
     zero_allocation,
 )
 
@@ -79,7 +80,7 @@ class HedgeLearner:
     anneals it with ``beta_schedule`` over the domain size.  An edge
     joins the domain only through a reveal, from the constructor's
     ``surfaces`` or from a round's feedback, and a reveal refuses any
-    surface that is not positive and finite before anything changes.  A
+    surface that breaks the E-SURFACE rule before anything changes.  A
     reveal replaces ``index`` with a new dict and never changes the old
     one, so the ``PackedAmounts`` of every allocation committed between
     two reveals share one index, and an earlier allocation keeps its
@@ -102,10 +103,11 @@ class HedgeLearner:
 
     def _reveal(self, surfaces: Mapping[str, float]) -> None:
         # Callers pass only edges that are new to the domain.  A negative
-        # surface would reverse the update; 0, NaN or inf never prices.
+        # surface would reverse the update; 0, NaN, inf or a subnormal
+        # surface never prices (``model.usable_surface``).
         for eid, w in surfaces.items():
-            if not (math.isfinite(w) and w > 0):
-                raise ValueError(f"surface of {eid!r} must be positive, got {w}")
+            if not usable_surface(w):
+                raise ValueError(f"surface of {eid!r} must be positive with finite 1/surface, got {w}")
         index = dict(self.index)
         for eid, w in surfaces.items():
             index[eid] = len(self.scores)

@@ -10,12 +10,12 @@ vertex and the budget, learn edges from each round's feedback, and the
 engine rejects any reactive allocation that strays outside the revealed
 set.  Every committed allocation must split the system's own budget.
 
-Each distinct attack path gets one per-game entry the first time it is
-played: the path is validated, and the entry holds its payoff and its
-``(edge id, surface)`` pairs.  Later rounds read the payoff and the
-surfaces from the entry and price the attack with ``model.steps_cost``,
-the rule ``model.cost`` applies.  An invalid path is never stored, so it
-is rejected whenever it is played.  ``RoundRecord`` and ``RoundFeedback``
+An attack is its tuple of edge ids, and each distinct one keys a
+per-game entry the first time it is played: the path is validated, and
+the entry holds its payoff and its ``(edge id, surface)`` pairs.  Later
+rounds read both from the entry and price the attack with
+``model.steps_cost``, the rule ``model.cost`` applies.  An invalid path
+is never stored, so it is rejected whenever it is played.  ``RoundRecord`` and ``RoundFeedback``
 are named tuples: immutable, and cheap to build once a round.
 
 Traces are reproducible bit-for-bit from (system, policies, rounds,
@@ -55,7 +55,7 @@ def round_edge_usage(attacks: Sequence[Attack]) -> dict[str, float]:
     """
     counts: dict[str, int] = {}
     for attack in attacks:
-        for eid in attack.path:
+        for eid in attack:
             counts[eid] = counts.get(eid, 0) + 1
     return {eid: count / len(attacks) for eid, count in counts.items()}
 
@@ -136,7 +136,7 @@ def run_game(
     )
     attacker.start(system, rng, rounds)
     records: list[RoundRecord] = []
-    entries: dict[tuple[str, ...], tuple[float, tuple[tuple[str, float], ...]]] = {}
+    entries: dict[Attack, tuple[float, tuple[tuple[str, float], ...]]] = {}
     for t in range(1, rounds + 1):
         allocation = defender.commit(t)
         if allocation.budget != system.budget:
@@ -158,11 +158,11 @@ def run_game(
         surfaces: dict[str, float] = {}
         total_cost = total_payoff = 0.0
         for a in attacks:
-            entry = entries.get(a.path)
+            entry = entries.get(a)
             if entry is None:
-                entry = entries[a.path] = _path_entry(system, a)
+                entry = entries[a] = _path_entry(system, a)
             pay, steps = entry
-            for eid in a.path:
+            for eid in a:
                 if eid not in revealed:
                     revealed[eid] = None
                     newly.append(eid)
@@ -200,6 +200,6 @@ def _path_entry(
     system: System, attack: Attack
 ) -> tuple[float, tuple[tuple[str, float], ...]]:
     """Validate a played path; return its payoff and (edge id, surface) pairs."""
-    if not attack.path:
+    if not attack:
         raise InvalidAttackError("attack path is empty")
-    return payoff(system, attack), tuple((eid, system.surface(eid)) for eid in attack.path)
+    return payoff(system, attack), tuple((eid, system.surface(eid)) for eid in attack)

@@ -96,7 +96,7 @@ class GraphEmbedding(NamedTuple):
     start_clause: str
 
     def translate_attack(self, attack: Attack) -> tuple[str, ...]:
-        return (self.start_clause,) + attack.path
+        return (self.start_clause,) + attack
 
 
 def graph_to_horn(system: System) -> GraphEmbedding:

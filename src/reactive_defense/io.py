@@ -352,7 +352,7 @@ def resolve_system(spec: str) -> System:
 
 
 def _format_attacks(attacks: tuple[Attack, ...]) -> str:
-    return "|".join(";".join(a.path) for a in attacks)
+    return "|".join(";".join(a) for a in attacks)
 
 
 def write_trace(trace: GameTrace, out_dir: str | PathLike) -> dict[str, Path]:

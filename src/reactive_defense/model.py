@@ -2,11 +2,11 @@
 
 A system is a directed graph whose edges carry a positive attack surface
 and whose vertices carry nonnegative rewards.  A defender divides a fixed
-budget across edges; an attacker walks edge-simple paths rooted at the
-start vertex.  Four functionals evaluate an exchange: ``payoff`` (rewards
-of distinct visited vertices), ``cost`` (allocated defense divided by
-surface, summed over the path), ``profit`` (payoff minus cost) and ``roa``
-(return on attack, payoff over cost).
+budget across edges; an ``Attack`` is the tuple of edge ids of an
+edge-simple path rooted at the start vertex.  Four functionals evaluate
+an exchange: ``payoff`` (rewards of distinct visited vertices), ``cost``
+(allocated defense divided by surface, summed over the path), ``profit``
+(payoff minus cost) and ``roa`` (return on attack, payoff over cost).
 
 Return-on-attack uses extended-real conventions: positive payoff at zero
 cost is ``math.inf``; zero payoff at positive cost is ``0.0``; the 0/0
@@ -207,17 +207,17 @@ class SystemView(NamedTuple):
     budget: float
 
 
-class Attack(Immutable):
-    """Edge-simple path rooted at the start vertex; ``path`` is a tuple
-    of edge ids."""
+class Attack(tuple):
+    """Edge-simple path rooted at the start vertex: the tuple of its edge
+    ids, equal to, hashed and printed as that plain tuple.  The named type
+    lets ``attackers.round_attacks`` tell a lone attack from a population
+    round; ``path``, still read by ``perfbench/``, is the attack itself."""
 
-    __slots__ = ("path",)
+    __slots__ = ()
 
-    def __init__(self, path: Iterable[str]):
-        object.__setattr__(self, "path", tuple(path))
-
-    def __len__(self) -> int:
-        return len(self.path)
+    @property
+    def path(self) -> "Attack":
+        return self
 
 
 class PackedAmounts(Mapping, Immutable):
@@ -372,13 +372,17 @@ def validate_system(system: System) -> list[Violation]:
                 out.append(
                     Violation("E-ENDPOINT", f"edge {e.id!r} references undeclared vertex {ref!r}")
                 )
-        # Pricing divides by the surface, and a subnormal one (1e-310)
-        # would give inf * 0 = NaN costs: the reciprocal must be finite.
-        if not (math.isfinite(e.surface) and e.surface > 0 and math.isfinite(1.0 / e.surface)):
+        if not usable_surface(e.surface):
             out.append(
                 Violation("E-SURFACE", f"edge {e.id!r} must have positive surface with finite 1/surface, got {e.surface}")
             )
     return out
+
+
+def usable_surface(surface: float) -> bool:
+    """The E-SURFACE rule: positive, with a finite reciprocal, since
+    pricing and learning divide by it (1e-310 would give NaN)."""
+    return math.isfinite(surface) and surface > 0 and math.isfinite(1.0 / surface)
 
 
 def ensure_valid_system(system: System) -> None:
@@ -397,7 +401,7 @@ def validate_attack(system: System, attack: Attack) -> None:
     """
     used: set[str] = set()
     position = system.start
-    for index, edge_id in enumerate(attack.path):
+    for index, edge_id in enumerate(attack):
         if not system.has_edge(edge_id):
             raise InvalidAttackError(f"attack step {index}: unknown edge {edge_id!r}")
         if edge_id in used:
@@ -416,7 +420,7 @@ def attack_vertices(system: System, attack: Attack) -> tuple[str, ...]:
     """Distinct vertices visited, in first-visit order, start included."""
     seen = {system.start}
     ordered = [system.start]
-    for edge_id in attack.path:
+    for edge_id in attack:
         dst = system.edge(edge_id).dst
         if dst not in seen:
             seen.add(dst)
@@ -442,7 +446,7 @@ def payoff(system: System, attack: Attack) -> float:
 def cost(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
     """Sum of allocated defense divided by surface along the path."""
     validate_attack(system, attack)
-    return steps_cost(allocation.alloc, [(e, system.surface(e)) for e in attack.path])
+    return steps_cost(allocation.alloc, [(e, system.surface(e)) for e in attack])
 
 
 def steps_cost(amounts: PackedAmounts, steps: Iterable[tuple[str, float]]) -> float:
@@ -476,7 +480,7 @@ def profit(system: System, attack: Attack, allocation: DefenseAllocation) -> flo
 
 def roa(system: System, attack: Attack, allocation: DefenseAllocation) -> float:
     """Return on attack: payoff over cost, with extended-real conventions."""
-    if not attack.path:
+    if not attack:
         raise ValueError("return on attack is not defined for the empty attack")
     p = payoff(system, attack)
     c = cost(system, attack, allocation)

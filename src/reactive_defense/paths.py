@@ -13,9 +13,9 @@ response, and best responses price and rank it only.
 
 A price is exactly ``model.cost``: amount / surface summed left to right
 in path order, with no BLAS call, so best responses do not depend on the
-machine.  The frontier's price steps are read off its attacks' paths
-after the walk, and the minimax LP builds its path-by-edge rate matrix
-from them.
+machine.  An attack is its tuple of edge ids, the frontier's price steps
+are read off its attacks after the walk, and the minimax LP builds its
+path-by-edge rate matrix from them.
 
 Best responses are deterministic: ties in the objective (exact float
 equality) fall to the cheaper attack, then to the earlier enumeration
@@ -144,7 +144,7 @@ class PathSet(NamedTuple):
         rows = np.array(frontier, dtype=np.intp)
         # The frontier's steps, one row per edge position, in C order: each
         # step's prices are then one contiguous take.
-        front = [attacks[row].path for row in frontier]
+        front = [attacks[row] for row in frontier]
         lengths = np.array([len(path) for path in front])
         steps = np.full((int(lengths.max()), len(rows)), width, dtype=np.intp)
         steps.T[np.arange(len(steps)) < lengths[:, None]] = [

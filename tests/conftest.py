@@ -96,7 +96,7 @@ def brute_force_worst_case(system: System, objective: str, amounts: dict[str, fl
     worst = 0.0
     pathset = PathSet.enumerate(system)
     for attack, pay in zip(pathset.attacks, pathset.payoffs):
-        c = ordered_sum(amounts.get(eid, 0.0) / system.surface(eid) for eid in attack.path)
+        c = ordered_sum(amounts.get(eid, 0.0) / system.surface(eid) for eid in attack)
         if objective == "profit":
             worst = max(worst, float(pay) - c)
         elif pay > 0:

@@ -254,11 +254,11 @@ def test_criterion_07_revealed_subgraph_equivalence():
         learner = HedgeLearner(system.budget)
         revealed: list[str] = []
         for k, attack in enumerate(attacks, start=1):
-            for eid in attack.path:
+            for eid in attack:
                 if eid not in revealed:
                     revealed.append(eid)
-            surfaces = {eid: system.surface(eid) for eid in attack.path}
-            hits = {eid: 1.0 for eid in attack.path}
+            surfaces = {eid: system.surface(eid) for eid in attack}
+            hits = {eid: 1.0 for eid in attack}
             shares = reactive_hidden_step(learner, hits, surfaces)
             hidden = dict(zip(learner.index, shares))
 
@@ -268,7 +268,7 @@ def test_criterion_07_revealed_subgraph_equivalence():
             beta = beta_schedule(len(revealed), k)
             scores = {e.id: 0.0 for e in subgraph.edges}
             for earlier in attacks[:k]:
-                for eid in earlier.path:
+                for eid in earlier:
                     scores[eid] -= 1.0 / subgraph.surface(eid)
             z = sum(beta**score for score in scores.values())
             for eid in revealed:

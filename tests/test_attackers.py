@@ -40,7 +40,7 @@ def test_best_response_roa_free_edges_dominate():
     # nothing defended: every attack is free, ties break to lower cost,
     # then to the lexicographically smaller path, so the bare edge wins
     pick = best_response(system, zero_allocation(10.0), "roa")
-    assert pick.attack.path == ("left",)
+    assert pick.attack == ("left",)
     assert pick.value == math.inf
 
 
@@ -49,18 +49,18 @@ def test_best_response_roa_layered_chain():
     all_left = DefenseAllocation({"left": 10.0}, 10.0)
     pick = best_response(system, all_left, "roa")
     # deep path: payoff 10 at cost 2 beats payoff 1 at cost 2
-    assert pick.attack.path == ("left", "right")
+    assert pick.attack == ("left", "right")
     assert pick.value == pytest.approx(5.0, abs=1e-9)
 
     all_right = DefenseAllocation({"right": 10.0}, 10.0)
     pick = best_response(system, all_right, "roa")
-    assert pick.attack.path == ("left",)
+    assert pick.attack == ("left",)
     assert pick.value == math.inf
 
     split = DefenseAllocation({"left": 5.0, "right": 5.0}, 10.0)
     pick = best_response(system, split, "roa")
     # both attacks score 1.0; the cheaper one wins the tie
-    assert pick.attack.path == ("left",)
+    assert pick.attack == ("left",)
     assert pick.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -69,12 +69,12 @@ def test_best_response_profit():
     equalized = DefenseAllocation({"right": 9.0}, 9.0)
     pick = best_response(system, equalized, "profit")
     # both edges net 1.0; the free one is cheaper
-    assert pick.attack.path == ("left",)
+    assert pick.attack == ("left",)
     assert pick.value == pytest.approx(1.0, abs=1e-12)
 
     crushing = DefenseAllocation({"left": 4.5, "right": 4.5}, 9.0)
     pick = best_response(system, crushing, "profit")
-    assert pick.attack.path == ("right",)
+    assert pick.attack == ("right",)
     assert pick.value == pytest.approx(10.0 - 4.5, abs=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_best_response_undefined_when_nothing_pays():
     )
     pick = best_response(system, zero_allocation(1.0), "roa")
     assert math.isnan(pick.value)
-    assert pick.attack.path == ("e1",)
+    assert pick.attack == ("e1",)
 
 
 def test_best_response_rejects_unknown_objective():
@@ -96,7 +96,7 @@ def test_best_response_rejects_unknown_objective():
 def test_best_response_is_deterministic():
     system = fixture("fig3_n8")
     alloc = DefenseAllocation({f"b{i}": 0.125 for i in range(8)}, 1.0)
-    picks = {best_response(system, alloc, "roa").attack.path for _ in range(5)}
+    picks = {best_response(system, alloc, "roa").attack for _ in range(5)}
     assert len(picks) == 1
 
 
@@ -107,7 +107,7 @@ def _lexsort_best_response(
     cost, objective) of every attack, with the rank computed by sorting
     the paths."""
     pays = pathset.payoffs
-    order = sorted(range(len(pathset.attacks)), key=lambda i: pathset.attacks[i].path)
+    order = sorted(range(len(pathset.attacks)), key=lambda i: pathset.attacks[i])
     lex_rank = np.empty(len(order), dtype=np.int64)
     lex_rank[order] = np.arange(len(order))
     if objective == "profit":
@@ -171,12 +171,11 @@ def _prefix_prices(pathset: PathSet, allocation: DefenseAllocation) -> np.ndarra
     system = pathset.system
     amounts, surfaces = allocation.alloc, {e.id: e.surface for e in system.edges}
     prices: dict[tuple[str, ...], float] = {(): 0.0}
-    for attack in pathset.attacks:
-        path = attack.path
+    for path in pathset.attacks:
         prices[path] = prices[path[:-1]] + amounts.get(path[-1], 0.0) / surfaces[path[-1]]
     for attack in pathset.attacks[::37]:
-        assert prices[attack.path] == cost(system, attack, allocation)
-    return np.array([prices[a.path] for a in pathset.attacks])
+        assert prices[attack] == cost(system, attack, allocation)
+    return np.array([prices[a] for a in pathset.attacks])
 
 
 def _model_value(
@@ -222,25 +221,25 @@ def test_selection_tie_branches_match_lexsort_order():
     fig2 = PathSet.enumerate(fixture("fig2"))
     # free: every attack costs nothing, and the first free one wins
     pick = _assert_same_pick(fig2, zero_allocation(10.0), "roa")
-    assert (pick.attack.path, pick.value) == (("left",), math.inf)
+    assert (pick.attack, pick.value) == (("left",), math.inf)
 
     # overflow: subnormal prices make both returns inf, as model.roa's
     # float division does, with no warning, and the cheaper attack wins
     tiny = DefenseAllocation({"left": 1e-320, "right": 1e-320}, 10.0)
     pick = _assert_same_pick(fig2, tiny, "roa")
-    assert (pick.attack.path, pick.value) == (("left",), math.inf)
+    assert (pick.attack, pick.value) == (("left",), math.inf)
 
     # undefined: nothing pays, so the cheapest zero-payoff attack is picked at NaN
     barren = System.build(edges=[("e1", "s", "a", 1.0), ("e2", "a", "b", 1.0)])
     pick = _assert_same_pick(PathSet.enumerate(barren), zero_allocation(1.0), "roa")
-    assert math.isnan(pick.value) and pick.attack.path == ("e1",)
+    assert math.isnan(pick.value) and pick.attack == ("e1",)
 
     # cost-decided tie: both attacks return exactly 1.0, the cheaper wins
     split = DefenseAllocation({"left": 5.0, "right": 5.0}, 10.0)
     costs = fig2.costs(split)
     assert list(fig2.frontier.payoffs / costs) == [1.0, 1.0] and costs[0] < costs[1]
     pick = _assert_same_pick(fig2, split, "roa")
-    assert pick.attack.path == ("left",)
+    assert pick.attack == ("left",)
 
     # index-decided exact tie: equal return and equal cost on every leaf;
     # edges are declared in reverse, so the pick is by edge id, not by row
@@ -254,7 +253,7 @@ def test_selection_tie_branches_match_lexsort_order():
     assert len(set(pathset.costs(even))) == 1 and len(set(pathset.payoffs)) == 1
     for objective in ("roa", "profit"):
         pick = _assert_same_pick(pathset, even, objective)
-        assert pick.attack.path == ("b0",)
+        assert pick.attack == ("b0",)
 
     # a subnormal surface is rejected as input: its rate 1 / surface would
     # be inf.  A PathSet built around validation prices as ``model.cost``
@@ -293,20 +292,20 @@ def test_selection_tie_branches_match_lexsort_order():
         pathset = PathSet.enumerate(system)
         assert math.isinf(pathset.payoffs[1]) and math.isinf(pathset.costs(heavy)[1])
         for objective in ("roa", "profit"):
-            assert _assert_same_pick(pathset, heavy, objective).attack.path == ("c",)
+            assert _assert_same_pick(pathset, heavy, objective).attack == ("c",)
 
 
 def test_random_parallel_attack():
     system = fixture("appendix_b")
     rng = random.Random(7)
-    counts = Counter(random_parallel_attack(system, rng).path for _ in range(2000))
+    counts = Counter(random_parallel_attack(system, rng) for _ in range(2000))
     assert set(counts) == {("e1",), ("e2",)}
     for share in counts.values():
         assert 0.42 < share / 2000 < 0.58
 
     # identical seeds give identical draws
-    a = [random_parallel_attack(system, random.Random(3)).path for _ in range(10)]
-    b = [random_parallel_attack(system, random.Random(3)).path for _ in range(10)]
+    a = [random_parallel_attack(system, random.Random(3)) for _ in range(10)]
+    b = [random_parallel_attack(system, random.Random(3)) for _ in range(10)]
     assert a == b
 
     with pytest.raises(ValueError, match="leave the start"):
@@ -320,7 +319,7 @@ def test_best_response_attacker_policy():
     attacker = BestResponseAttacker("roa")
     attacker.start(system, random.Random(0), horizon=5)
     move = attacker.attack(zero_allocation(10.0), 1)
-    assert move.path == ("left",)
+    assert move == ("left",)
     assert attacker.describe() == {"policy": "roa-best-response"}
     assert BestResponseAttacker("profit").describe() == {
         "policy": "profit-best-response"
@@ -335,8 +334,8 @@ def test_random_path_attacker_uses_engine_rng():
     one.start(system, random.Random(11), horizon=10)
     two = RandomPathAttacker()
     two.start(system, random.Random(11), horizon=10)
-    moves_one = [one.attack(zero_allocation(10.0), t).path for t in range(1, 11)]
-    moves_two = [two.attack(zero_allocation(10.0), t).path for t in range(1, 11)]
+    moves_one = [one.attack(zero_allocation(10.0), t) for t in range(1, 11)]
+    moves_two = [two.attack(zero_allocation(10.0), t) for t in range(1, 11)]
     assert moves_one == moves_two
     assert one.describe() == {"policy": "uniform-random-path"}
 
@@ -364,7 +363,7 @@ def test_oblivious_attacker_restricted_view():
     blinkered.start(system, random.Random(0), horizon=3)
     # the deep edge does not exist for this attacker, whatever the defense
     all_left = DefenseAllocation({"left": 10.0}, 10.0)
-    assert blinkered.attack(all_left, 1).path == ("left",)
+    assert blinkered.attack(all_left, 1) == ("left",)
     assert blinkered.describe()["visible"] == ["left"]
 
     sighted = ObliviousAttacker(visible=["left", "right"], objective="roa")
@@ -372,7 +371,7 @@ def test_oblivious_attacker_restricted_view():
     full = BestResponseAttacker("roa")
     full.start(system, random.Random(0), horizon=3)
     for alloc in (all_left, zero_allocation(10.0)):
-        assert sighted.attack(alloc, 1).path == full.attack(alloc, 1).path
+        assert sighted.attack(alloc, 1) == full.attack(alloc, 1)
 
 
 def test_multi_attacker_flattens_members():

@@ -83,7 +83,7 @@ def test_beta_schedule_anneals_toward_one():
 
 
 def _hits(attack: Attack) -> dict[str, float]:
-    return {eid: 1.0 for eid in attack.path}
+    return {eid: 1.0 for eid in attack}
 
 
 def _allocation(learner: HedgeLearner, shares: list[float]) -> dict[str, float]:
@@ -224,18 +224,19 @@ def _known_learner(system, beta: float) -> HedgeLearner:
 
 def test_learner_checks_every_surface_where_an_edge_joins_the_domain():
     # A negative surface would reverse the update, 0 would divide by zero,
-    # NaN would fail a later round's re-reveal check and inf never learns:
-    # each is refused on reveal, from the constructor and from a round.
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    # NaN would fail a later round's re-reveal check, inf never learns and
+    # a subnormal surface's reciprocal overflows into NaN shares: each is
+    # refused on reveal, from the constructor and from a round.
+    for bad in (0.0, -1.0, math.nan, math.inf, 1e-310):
         with pytest.raises(ValueError) as caught:
             HedgeLearner(1.0, {"e": bad, "f": 1.0})
-        assert str(caught.value) == f"surface of 'e' must be positive, got {bad}"
+        assert str(caught.value) == f"surface of 'e' must be positive with finite 1/surface, got {bad}"
         learner = HedgeLearner(budget=1.0)
         reactive_hidden_step(learner, {"e1": 1.0}, {"e1": 1.0})
         before = dict(learner.index), list(learner.surfaces), list(learner.scores)
         with pytest.raises(ValueError) as caught:
             reactive_hidden_step(learner, {"e1": 1.0, "e2": 1.0}, {"e1": 1.0, "e2": bad})
-        assert str(caught.value) == f"surface of 'e2' must be positive, got {bad}"
+        assert str(caught.value) == f"surface of 'e2' must be positive with finite 1/surface, got {bad}"
         assert (dict(learner.index), learner.surfaces, learner.scores) == before
         assert learner.round_index == 1
 
@@ -289,7 +290,7 @@ def test_known_defender_tie_trajectory_is_frozen():
     assert tenth.alloc == {"left": 5.0, "right": 5.0}
     assert trace.records[0].allocation.alloc == tenth.alloc
     one, two = ("left",), ("left", "right")
-    assert [r.attacks[0].path for r in trace.records] == (
+    assert [r.attacks[0] for r in trace.records] == (
         [one, two] + [one] * 8 + [two] + [one] * 7 + [two, one]
     )
 
@@ -546,7 +547,7 @@ def _linprog_minimax(system: System, objective: str) -> np.ndarray | None:
     edge_index = {eid: j for j, eid in enumerate(system.edge_ids)}
     rate_rows = np.zeros((len(pathset.attacks), num_edges))
     for i, attack in enumerate(pathset.attacks):
-        for eid in attack.path:
+        for eid in attack:
             rate_rows[i, edge_index[eid]] = 1.0
     rate_rows /= np.array([e.surface for e in system.edges])
     budget_row = np.concatenate([np.ones(num_edges), [0.0]])
@@ -821,7 +822,7 @@ def test_fixed_rate_ratio_monotone(seed):
         after = _allocation(
             learner, reactive_hidden_step(learner, _hits(attack), surfaces)
         )
-        hit = set(attack.path)
+        hit = set(attack)
         for spared in set(system.edge_ids) - hit:
             for eid in hit:
                 old = before[eid] / before[spared]

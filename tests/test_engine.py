@@ -148,7 +148,7 @@ def test_replayed_path_logs_model_cost_every_round():
             for e in system.edges
         }
         if t % 3 == 0:
-            amounts.update(dict.fromkeys(attack.path, -0.0))
+            amounts.update(dict.fromkeys(attack, -0.0))
         scale = system.budget / max(sum(amounts.values()), 1.0)
         allocations.append(
             DefenseAllocation({k: v * scale for k, v in amounts.items()}, system.budget)
@@ -247,7 +247,7 @@ def test_records_recompute_from_snapshots():
     for seed, system in sample_systems(6, base_seed=9200):
         for attacker in (RandomPathAttacker(), population()):
             trace = run_game(system, ReactiveDefender(), attacker, rounds=15, seed=seed)
-            played = [a.path for record in trace.records for a in record.attacks]
+            played = [a for record in trace.records for a in record.attacks]
             # paths recur, so later rounds take their payoff from the cache
             assert len(set(played)) < len(played)
             for record in trace.records:
@@ -383,7 +383,7 @@ def test_engine_rejects_invalid_attacks_after_valid_rounds():
     left, deep = Attack(("left",)), Attack(("left", "right"))
     for bad in (Attack(("right",)), Attack(()), Attack(("ghost",)), Attack(("left", "left"))):
         expected = "attack path is empty"
-        if bad.path:
+        if bad:
             with pytest.raises(InvalidAttackError) as caught:
                 validate_attack(system, bad)
             expected = str(caught.value)

@@ -2,8 +2,9 @@
 module calls the builtin ``sum`` or reaches BLAS or LAPACK; numpy and
 PyYAML load only where arrays or YAML are used, no package module imports
 ``dataclasses`` or ``statistics``, no per-round function runs an
-import statement, and only ``model.Immutable`` guards its attributes or
-defines how it pickles."""
+import statement, only ``model.Immutable`` guards its attributes or
+defines how it pickles, and no package module reads an attribute named
+``path``: an attack is its own tuple of edge ids."""
 
 from __future__ import annotations
 
@@ -354,3 +355,41 @@ def test_immutable_is_the_one_guard_base_in_src():
         for line, name in guard_definitions(path.read_text(encoding="utf-8"), str(path)):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "guard methods outside model.Immutable:\n" + "\n".join(found)
+
+
+def path_reads(source: str, filename: str = "<source>") -> list[int]:
+    """Lines that read an attribute named ``path``.  A definition named
+    ``path``, such as ``model.Attack``'s property, is not a read, and
+    neither is a plain name or an assignment to the attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Attribute) and node.attr == "path" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_path_read_scan_on_known_cases():
+    source = (
+        "class Attack(tuple):\n"
+        "    @property\n"
+        "    def path(self):\n"
+        "        return self\n"
+        "def f(attack, path, record):\n"
+        "    steps = attack.path\n"
+        "    path.append(1)\n"
+        "    record.attacks[0].path.count('e')\n"
+        "    record.path = path\n"
+        "    return os.path.sep\n"
+    )
+    assert path_reads(source) == [6, 8, 10]
+
+
+def test_no_path_reads_in_src():
+    # ``model.Attack`` keeps a ``path`` property that returns the attack
+    # itself, for callers outside the package; the package reads the
+    # attack directly.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line in path_reads(path.read_text(encoding="utf-8"), str(path)):
+            found.append(f"{path.relative_to(ROOT)}:{line}: reads .path")
+    assert not found, "\n".join(found)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import attack_sequence
 from reactive_defense import fixture
+from reactive_defense.attackers import round_attacks
 from reactive_defense.model import (
     FEASIBILITY_RTOL,
     Attack,
@@ -345,7 +346,6 @@ def test_restrict_edges():
 # immutable value it is stored as, and arguments the constructor refuses
 # with their exact messages.
 _SLOTTED = {
-    "Attack": (Attack, (["a", "b"],), (["a"],), "path", ("a", "b"), []),
     "DefenseAllocation": (
         DefenseAllocation,
         ({"e": 0.5}, 1.0),
@@ -380,9 +380,6 @@ def test_slotted_value_classes(name):
     twin = cls(*args)
     assert twin is not value and twin == value and not twin != value
     assert cls(*other_args) != value and not cls(*other_args) == value
-    # A mapping field makes a value unhashable, as a dict does.
-    if name == "Attack":
-        assert hash(twin) == hash(value)
     assert repr(value).startswith(f"{name}(") and f"{field}={stored!r}" in repr(value)
     assert copy.copy(value) == value
     with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
@@ -393,6 +390,24 @@ def test_slotted_value_classes(name):
         with pytest.raises(ValueError) as caught:
             cls(*bad_args)
         assert str(caught.value) == message
+
+
+def test_attack_is_its_tuple_of_edge_ids():
+    value = Attack(["a", "b"])
+    assert isinstance(value, tuple) and not isinstance(value, Immutable)
+    assert Attack.__slots__ == () and not hasattr(value, "__dict__")
+    assert value == ("a", "b") and hash(value) == hash(("a", "b"))
+    assert value != Attack(["a"]) and value != ("b", "a")
+    assert repr(value) == "('a', 'b')" and len(value) == 2
+    assert value.path is value
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is Attack and twin == value
+    with pytest.raises(AttributeError):
+        value.path = ("a",)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert round_attacks(value) == round_attacks((value,)) == (value,)
+    assert type(round_attacks(value)[0]) is Attack
 
 
 # ---------------------------------------------------------------------------

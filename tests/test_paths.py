@@ -28,7 +28,7 @@ def test_enumeration_order_prefixes_first():
             ("c", "m", "t", 1.0),
         ]
     )
-    attacks = [a.path for a in _attacks(system)]
+    attacks = list(_attacks(system))
     assert attacks == [("a",), ("a", "c"), ("b",), ("b", "c")]
 
 
@@ -73,7 +73,7 @@ def test_enumeration_handles_vertex_revisits():
     system = System.build(
         edges=[("out", "s", "a", 1.0), ("back", "a", "s", 1.0)]
     )
-    attacks = [a.path for a in _attacks(system)]
+    attacks = list(_attacks(system))
     assert ("out", "back") in attacks
     # the returning walk cannot reuse "out"
     assert all(len(set(p)) == len(p) for p in attacks)
@@ -210,9 +210,9 @@ def _frontier_by_all_pairs(paths: PathSet) -> list[int]:
     frontier = []
     for i, (attack, pay) in enumerate(zip(paths.attacks, paths.payoffs)):
         peers = earlier.setdefault(float(pay), [])
-        if not any(_is_subsequence(q, attack.path) for q in peers):
+        if not any(_is_subsequence(q, attack) for q in peers):
             frontier.append(i)
-        peers.append(attack.path)
+        peers.append(attack)
     return frontier
 
 
@@ -235,7 +235,7 @@ def test_frontier_drops_exactly_the_dominated_attacks():
         rewards={"x": 1.0, "y": 2.0},
     )
     paths = PathSet.enumerate(loop)
-    assert [paths.attacks[i].path for i in paths.frontier.rows] == [("a",), ("a", "c")]
+    assert [paths.attacks[i] for i in paths.frontier.rows] == [("a",), ("a", "c")]
     systems.append(loop)
     for system in systems:
         paths = PathSet.enumerate(system)
@@ -246,7 +246,7 @@ def test_frontier_drops_exactly_the_dominated_attacks():
         # the zero-price slot
         depth, width = len(paths.frontier.steps), len(paths.edge_index)
         assert paths.frontier.steps.T.tolist() == [
-            [paths.edge_index[eid] for eid in paths.attacks[row].path]
+            [paths.edge_index[eid] for eid in paths.attacks[row]]
             + [width] * (depth - len(paths.attacks[row]))
             for row in rows
         ]
@@ -281,7 +281,7 @@ def test_pathset_attacks_are_in_lexicographic_order():
             random_system(random.Random(seed), max_extra_edges=30, max_vertices=10)
         )
     for system in systems:
-        sequences = [a.path for a in PathSet.enumerate(system).attacks]
+        sequences = list(PathSet.enumerate(system).attacks)
         assert sequences == sorted(sequences)
 
 
